@@ -6,8 +6,9 @@
 // shards multiplies the bottleneck resource by N, so single-shard YCSB
 // throughput scales near-linearly while p99.9 stays flat (less queueing per
 // device, not more). Cross-shard transactions pay for 2PC — one forced
-// PREPARE per participant plus a forced DECISION — so the same hardware
-// degrades smoothly as the cross-shard ratio rises.
+// PREPARE per non-coordinator writer plus the coordinator's forced DECISION,
+// which carries its data redo — so the same hardware degrades smoothly as
+// the cross-shard ratio rises.
 //
 // Arms:
 //   1. shards {1,2,4} x uniform single-shard YCSB — the scaling headline:

@@ -80,6 +80,12 @@ class SimDisk {
   /// mid-request is busy even when nothing waits behind it.
   bool idle() const { return queue_length() == 0; }
 
+  /// Attaches a fault schedule after construction (null detaches) — the
+  /// handle for scoping a fault to one device of an engine whose devices
+  /// come from a shared template, e.g. one shard's log disk. Call before
+  /// the device serves its first request; not synchronized with I/O.
+  void set_fault(FaultInjector* fault) { config_.fault = fault; }
+
   /// Nanoseconds until an injected stall covering `now` clears (0 = none).
   int64_t StallRemainingNanos() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/ack_latch.h"
 #include "common/work.h"
 #include "tprofiler/profiler.h"
 
@@ -83,32 +84,39 @@ std::unique_ptr<MySQLSession> MySQLMini::ConnectSession() {
   return std::make_unique<MySQLSession>(this);
 }
 
+void MySQLMini::AppendControlFrameAsync(uint64_t gtid, uint64_t bytes,
+                                        std::vector<log::RedoOp> ops,
+                                        Connection::CommitAckFn ack) {
+  // Mirror the nominal bytes into mysql.redo_bytes up front, exactly like a
+  // commit record: the frame is in the append stream whether or not it
+  // becomes durable, and log.bytes_written will count it at flush time.
+  metrics::Inc(m_.redo_bytes, bytes);
+  if (quorum_log_ != nullptr) {
+    quorum_log_->CommitAsync(gtid, bytes, std::move(ops), std::move(ack));
+  } else {
+    redo_log_->CommitAsync(gtid, bytes, std::move(ops), std::move(ack));
+  }
+}
+
 Status MySQLMini::AppendControlFrame(uint64_t gtid, uint64_t bytes,
                                      std::vector<log::RedoOp> ops,
                                      bool force) {
-  // Mirror the nominal bytes into mysql.redo_bytes up front, exactly like a
-  // commit record: the frame is in the append stream whether or not the
-  // force below succeeds, and log.bytes_written will count it at flush time.
-  metrics::Inc(m_.redo_bytes, bytes);
+  if (force) {
+    AckLatch durable;
+    AppendControlFrameAsync(gtid, bytes, std::move(ops), durable.Expect());
+    return durable.Wait();
+  }
+  // Unforced: the decision already proves the outcome, so this frame's
+  // durability is advisory. A replicated log drops the ack (the ledger
+  // still counts it submitted/resolved); a plain log applies its flush
+  // policy, so lazy policies leave the frame to the flusher.
   if (quorum_log_ != nullptr) {
-    if (force) {
-      Status durable;
-      quorum_log_->Commit(gtid, bytes, std::move(ops), &durable);
-      return durable;
-    }
-    // Unforced: the decision already proves the outcome, so this ack is
-    // advisory — drop it (the ledger still counts it submitted/resolved).
-    quorum_log_->CommitAsync(gtid, bytes, std::move(ops),
-                             [](const Status&) {});
+    AppendControlFrameAsync(gtid, bytes, std::move(ops), [](const Status&) {});
     return Status::OK();
   }
-  const uint64_t lsn = redo_log_->Commit(gtid, bytes, std::move(ops));
-  if (!force) return Status::OK();
-  const Status s = redo_log_->ForceDurable();
-  if (!s.ok()) return s;
-  return redo_log_->durable_lsn() >= lsn
-             ? Status::OK()
-             : Status::Unavailable("2pc control frame not durable");
+  metrics::Inc(m_.redo_bytes, bytes);
+  redo_log_->Commit(gtid, bytes, std::move(ops));
+  return Status::OK();
 }
 
 uint32_t MySQLMini::CreateTable(const std::string& name,
@@ -396,41 +404,64 @@ Result<int64_t> MySQLSession::DoReadColumn(uint32_t table, uint64_t key,
   return row->Get(col);
 }
 
-Status MySQLSession::PrepareCommit(uint64_t gtid, uint32_t coord_shard) {
+void MySQLSession::PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
+                                      CommitAckFn vote) {
   TPROF_SCOPE("trx_commit");
-  if (!active_) return Status::InvalidArgument("no open transaction");
-  if (prepared_) return Status::InvalidArgument("already prepared");
+  if (!active_ || prepared_) {
+    vote(Status::InvalidArgument(active_ ? "already prepared"
+                                         : "no open transaction"));
+    return;
+  }
   if (must_abort_) {
     Rollback();
-    return Status::Aborted("transaction had failed; rolled back");
+    vote(Status::Aborted("transaction had failed; rolled back"));
+    return;
   }
   coord_shard_ = coord_shard;
+  // Prepared from here on — locks held, undo retained — whatever the vote:
+  // after a NO the caller rolls every participant back.
+  prepared_ = true;
   if (redo_bytes_ == 0) {
     // Read-only participant: nothing to redo, so the vote needs no frame —
     // recovery has nothing to decide for this shard.
-    prepared_ = true;
     prepared_readonly_ = true;
-    return Status::OK();
+    vote(Status::OK());
+    return;
   }
-  std::vector<log::RedoOp> ops;
-  ops.reserve(redo_ops_.size() + 1);
-  ops.push_back(log::RedoOp{log::RedoOp::Kind::k2PCPrepare, coord_shard, gtid,
-                            storage::Row{}});
-  for (log::RedoOp& op : redo_ops_) ops.push_back(std::move(op));
-  redo_ops_.clear();
   const uint64_t bytes = redo_bytes_ + k2PCControlFrameBytes;
   redo_bytes_ = 0;  // Consumed by the prepare frame.
-  const Status s = db_->AppendControlFrame(gtid, bytes, std::move(ops),
-                                           /*force=*/true);
-  if (!s.ok()) {
-    // Vote NO. The frame may or may not have reached the device; either way
-    // no decision will ever be logged for this gtid, so recovery presumes
-    // abort. Locks and undo are intact — the caller rolls us back.
-    must_abort_ = true;
-    return s;
+  // A non-OK ack is the NO vote: the frame may or may not have reached the
+  // device, but no decision will ever be logged for this gtid, so recovery
+  // presumes abort.
+  db_->AppendControlFrameAsync(
+      gtid, bytes,
+      RedoBehind(log::RedoOp::Kind::k2PCPrepare, coord_shard, gtid),
+      std::move(vote));
+}
+
+Status MySQLSession::CommitDecision(uint64_t gtid, uint32_t coord_shard) {
+  TPROF_SCOPE("trx_commit");
+  if (!active_ || prepared_ || must_abort_) {
+    return Status::InvalidArgument("no committable transaction to decide");
   }
-  prepared_ = true;
-  return Status::OK();
+  const Status s = db_->AppendControlFrame(
+      gtid, redo_bytes_ + k2PCControlFrameBytes,
+      RedoBehind(log::RedoOp::Kind::k2PCDecide, coord_shard, gtid),
+      /*force=*/true);
+  // Committed or ambiguous, never rolled back: release either way.
+  ReleaseAndReset();
+  return s;
+}
+
+std::vector<log::RedoOp> MySQLSession::RedoBehind(log::RedoOp::Kind marker,
+                                                  uint32_t coord_shard,
+                                                  uint64_t gtid) {
+  std::vector<log::RedoOp> ops;
+  ops.reserve(redo_ops_.size() + 1);
+  ops.push_back(log::RedoOp{marker, coord_shard, gtid, storage::Row{}});
+  for (log::RedoOp& op : redo_ops_) ops.push_back(std::move(op));
+  redo_ops_.clear();
+  return ops;
 }
 
 void MySQLSession::CommitPrepared(uint64_t gtid, bool log_commit_frame) {

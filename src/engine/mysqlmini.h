@@ -127,20 +127,39 @@ class MySQLSession : public Connection {
 
   uint64_t current_txn_id() const override;
 
-  // --- cross-shard 2PC participant seam (docs/sharding.md) -----------------
+  // --- cross-shard 2PC seam (docs/sharding.md) -----------------------------
   // engine::ShardedDatabase drives these; single-shard commits never touch
-  // them. Lifecycle: Begin .. ops .. PrepareCommit -> CommitPrepared, or
-  // Rollback at any point before CommitPrepared (locks are held and undo is
-  // retained across the prepared window, so a prepared transaction aborts
-  // exactly like an active one).
+  // them. A non-coordinator participant runs Begin .. ops ..
+  // PrepareCommitAsync -> CommitPrepared, or Rollback at any point before
+  // CommitPrepared (locks are held and undo is retained across the prepared
+  // window, so a prepared transaction aborts exactly like an active one).
+  // The coordinator runs Begin .. ops .. CommitDecision: it writes no
+  // PREPARE and no COMMIT frame of its own.
 
-  /// Phase 1: logs this participant's PREPARE frame — a k2PCPrepare marker
-  /// (carrying `gtid` and the coordinator shard id) followed by the
-  /// transaction's data redo — and forces it durable (quorum ack when
-  /// replicated). Read-only participants vote yes without logging. On
-  /// failure the vote is NO: the caller must Rollback() every participant
-  /// (presumed abort — an orphaned prepare frame is dropped at recovery).
-  Status PrepareCommit(uint64_t gtid, uint32_t coord_shard);
+  /// Phase 1: appends this participant's PREPARE frame — a k2PCPrepare
+  /// marker (carrying `gtid` and the coordinator shard id) followed by the
+  /// transaction's data redo — through the shard's async append path and
+  /// returns without waiting. `vote` fires exactly once, on any thread: OK
+  /// once the frame is durable (quorum ack when replicated), non-OK (a NO
+  /// vote) when it cannot be made durable. Read-only participants vote yes
+  /// inline without logging; a transaction that already failed rolls back
+  /// and votes NO inline. After any NO vote the caller must Rollback() every
+  /// participant (presumed abort — an orphaned prepare frame is dropped at
+  /// recovery).
+  void PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
+                          CommitAckFn vote);
+
+  /// The commit point, on the coordinator (`coord_shard`, the lowest
+  /// writing shard) once every other participant voted yes: forces ONE
+  /// DECISION frame — a k2PCDecide marker carrying `gtid`, then this
+  /// transaction's data redo — and releases locks. The frame is at once the
+  /// coordinator's prepare and the outcome. A non-OK return is ambiguous:
+  /// the frame is in the append stream but its durability is unknown, so
+  /// the session still releases and keeps its effects (never rolls back — a
+  /// crash may yet surface the decision), the same contract as a
+  /// quorum-loss single-shard commit. The transaction must not have failed
+  /// (check must_abort() first).
+  Status CommitDecision(uint64_t gtid, uint32_t coord_shard);
 
   /// Phase 2 (after the coordinator's decision is durable): appends this
   /// participant's k2PCCommit frame (not forced — the decision already
@@ -152,8 +171,10 @@ class MySQLSession : public Connection {
   /// siblings presume abort, breaking atomicity.
   void CommitPrepared(uint64_t gtid, bool log_commit_frame = true);
 
-  /// True between a successful PrepareCommit and CommitPrepared/Rollback.
+  /// True between PrepareCommitAsync and CommitPrepared/Rollback.
   bool prepared() const { return prepared_; }
+  /// True when an operation failed and the transaction can only roll back.
+  bool must_abort() const { return must_abort_; }
   /// True when the open transaction wrote nothing (votes yes frame-free).
   bool read_only() const { return redo_bytes_ == 0; }
 
@@ -186,12 +207,16 @@ class MySQLSession : public Connection {
                    bool record_undo, bool take_lock = true);
   Status EnsureActive() const;
   void ReleaseAndReset();
+  /// A 2PC frame: the `marker` op (coordinator shard, gtid), then this
+  /// transaction's data redo, which it consumes.
+  std::vector<log::RedoOp> RedoBehind(log::RedoOp::Kind marker,
+                                      uint32_t coord_shard, uint64_t gtid);
 
   MySQLMini* const db_;
   std::unique_ptr<lock::TxnContext> txn_;
   bool active_ = false;
   bool must_abort_ = false;
-  bool prepared_ = false;           ///< 2PC: prepare frame durable, locks held.
+  bool prepared_ = false;           ///< 2PC: prepare frame issued, locks held.
   bool prepared_readonly_ = false;  ///< Prepared with no frame (no writes).
   uint32_t coord_shard_ = 0;        ///< Valid while prepared_.
   uint64_t redo_bytes_ = 0;
@@ -252,16 +277,23 @@ class MySQLMini : public Database {
   /// of un-durable state has no sound covering LSN.
   Result<Checkpoint> TakeCheckpoint();
 
-  /// Appends a 2PC control frame (the gtid is the frame's txn id) to this
-  /// shard's log, routed through the quorum layer when replication is on,
-  /// and mirrors `bytes` into mysql.redo_bytes. `force` blocks until the
-  /// frame is durable (quorum ack / leader flush) and reports the outcome;
-  /// unforced appends return OK as soon as the frame is in the stream.
-  Status AppendControlFrame(uint64_t gtid, uint64_t bytes,
-                            std::vector<log::RedoOp> ops, bool force);
-
  private:
   friend class MySQLSession;
+
+  /// Appends a 2PC control frame (the gtid is the frame's txn id) to this
+  /// shard's log through its async append path — the quorum layer when
+  /// replication is on, else the redo log's epoch path — and mirrors
+  /// `bytes` into mysql.redo_bytes. `ack` fires exactly once when the
+  /// frame's durability is decided (see RedoLog::CommitAsync: without an
+  /// epoch thread the append flushes inline and acks before returning).
+  void AppendControlFrameAsync(uint64_t gtid, uint64_t bytes,
+                               std::vector<log::RedoOp> ops,
+                               Connection::CommitAckFn ack);
+  /// Forced: AppendControlFrameAsync, then waits for the ack and reports
+  /// it. Unforced appends return OK as soon as the frame is in the stream;
+  /// its durability is left to the quorum layer or the flush policy.
+  Status AppendControlFrame(uint64_t gtid, uint64_t bytes,
+                            std::vector<log::RedoOp> ops, bool force);
 
   MySQLMiniConfig config_;
   storage::Catalog catalog_;

@@ -202,22 +202,28 @@ std::vector<log::RecoveredTxn> Filter2PCRedo(
   static metrics::Counter* const recovered_aborted =
       reg.GetCounter("2pc.recovered_presumed_aborted");
 
-  // Pass 3: filter. Plain frames replay unchanged; PREPARE frames replay
-  // their data ops iff decided (or locally committed); control-only frames
-  // (decisions, participant commits) carry no data and drop out.
+  // Pass 3: filter. Plain frames replay unchanged. A DECISION frame is the
+  // commit point itself, so the coordinator data ops riding behind its
+  // marker always replay (a decision-only frame, the older layout, carries
+  // none). PREPARE frames replay their data ops iff decided (or locally
+  // committed). Markers never replay; participant COMMIT frames carry no
+  // data and drop out.
   std::vector<log::RecoveredTxn> out;
   out.reserve(stream.size());
   for (const log::RecoveredTxn& txn : stream) {
-    if (txn.ops.empty() ||
-        (txn.ops[0].kind != log::RedoOp::Kind::k2PCPrepare &&
-         txn.ops[0].kind != log::RedoOp::Kind::k2PCDecide &&
-         txn.ops[0].kind != log::RedoOp::Kind::k2PCCommit)) {
+    const log::RedoOp::Kind head =
+        txn.ops.empty() ? log::RedoOp::Kind::kPut : txn.ops[0].kind;
+    if (head != log::RedoOp::Kind::k2PCPrepare &&
+        head != log::RedoOp::Kind::k2PCDecide &&
+        head != log::RedoOp::Kind::k2PCCommit) {
       out.push_back(txn);
       continue;
     }
-    if (txn.ops[0].kind != log::RedoOp::Kind::k2PCPrepare) continue;
+    if (head == log::RedoOp::Kind::k2PCCommit) continue;
+    if (head == log::RedoOp::Kind::k2PCDecide && txn.ops.size() == 1) continue;
     const uint64_t gtid = txn.ops[0].key;
-    if (decided.count(gtid) == 0 && local_committed.count(gtid) == 0) {
+    if (head == log::RedoOp::Kind::k2PCPrepare && decided.count(gtid) == 0 &&
+        local_committed.count(gtid) == 0) {
       // Presumed abort: a prepare with no decision anywhere means the
       // coordinator never reached its commit point.
       if (stats != nullptr) ++stats->presumed_aborted;
@@ -229,7 +235,10 @@ std::vector<log::RecoveredTxn> Filter2PCRedo(
     keep.lsn = txn.lsn;
     keep.ops.assign(txn.ops.begin() + 1, txn.ops.end());
     out.push_back(std::move(keep));
-    if (stats != nullptr) ++stats->replayed_prepared;
+    if (stats != nullptr) {
+      ++(head == log::RedoOp::Kind::k2PCDecide ? stats->replayed_decisions
+                                                : stats->replayed_prepared);
+    }
     metrics::Inc(recovered_committed);
   }
   return out;

@@ -60,15 +60,19 @@ void ReplayRedo(const std::vector<log::RecoveredTxn>& recovered,
 struct TwoPhaseRecoveryStats {
   uint64_t decided = 0;            ///< Distinct gtids with a DECISION frame.
   uint64_t replayed_prepared = 0;  ///< PREPARE frames replayed (committed).
+  /// DECISION frames replayed for the coordinator data ops they carry.
+  uint64_t replayed_decisions = 0;
   uint64_t presumed_aborted = 0;   ///< PREPARE frames dropped (no decision).
 };
 
 /// Presumed-abort recovery filter for cross-shard 2PC (docs/sharding.md).
 /// `shard_streams` holds every shard's decoded log stream (LSN order, as
 /// DecodeLogImage or repl::ElectLeader returns it); the result is shard
-/// `shard`'s replayable stream: plain frames unchanged, PREPARE frames with
-/// a durable DECISION anywhere (or a local participant COMMIT) stripped of
-/// their marker, undecided PREPARE frames and pure control frames dropped.
+/// `shard`'s replayable stream: plain frames unchanged, DECISION frames
+/// (the coordinator's data redo behind the k2PCDecide marker) and PREPARE
+/// frames with a durable DECISION anywhere (or a local participant COMMIT)
+/// stripped of their marker, undecided PREPARE frames and data-free control
+/// frames dropped.
 /// Feed the result to ReplayRedo / MySQLMini::RecoverInto per shard.
 std::vector<log::RecoveredTxn> Filter2PCRedo(
     const std::vector<std::vector<log::RecoveredTxn>>& shard_streams,

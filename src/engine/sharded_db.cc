@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/ack_latch.h"
 #include "common/crash_point.h"
 
 namespace tdp::engine {
@@ -193,71 +194,86 @@ Result<int64_t> ShardedConnection::DoReadColumn(uint32_t table, uint64_t key,
   return sess->ReadColumn(table, key, col);
 }
 
-Status ShardedConnection::DoCommit() {
+Status ShardedConnection::DoCommit() { return CommitRouted(nullptr); }
+
+Status ShardedConnection::DoCommitAsync(CommitAckFn ack) {
+  return CommitRouted(&ack);
+}
+
+Status ShardedConnection::CommitRouted(CommitAckFn* ack) {
   if (!active_) return Status::InvalidArgument("no open transaction");
-  const int touched = PopCount(begun_mask_);
-  if (touched == 0) {
+  if (begun_mask_ == 0) {
     ResetTxn();
+    if (ack != nullptr) (*ack)(Status::OK());
     return Status::OK();
   }
-  if (touched == 1) {
-    // Single-shard fast path: the shard's own commit, untouched — locks,
-    // group commit, quorum ack, all exactly as an unsharded engine.
-    metrics::Inc(db_->m_.single_shard_txns);
-    const Status s = sessions_[LowestBit(begun_mask_)]->Commit();
-    ResetTxn();
-    return s;
-  }
-  metrics::Inc(db_->m_.cross_shard_txns);
+  const bool cross = PopCount(begun_mask_) > 1;
+  metrics::Inc(cross ? db_->m_.cross_shard_txns : db_->m_.single_shard_txns);
   uint64_t writer_mask = 0;
   for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
     const uint32_t i = LowestBit(m);
+    if (cross && sessions_[i]->must_abort()) {
+      // A sub-transaction that failed an operation dooms the whole
+      // transaction: roll back everywhere before any frame is written.
+      DoRollback();
+      return Status::Aborted("transaction had failed; rolled back");
+    }
     if (!sessions_[i]->read_only()) writer_mask |= uint64_t{1} << i;
   }
-  if (writer_mask == 0) {
-    // Read-only everywhere: nothing durable to coordinate; release per
-    // shard.
-    Status first = Status::OK();
-    for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
-      const Status s = sessions_[LowestBit(m)]->Commit();
-      if (!s.ok() && first.ok()) first = s;
-    }
-    ResetTxn();
-    return first;
+  if (PopCount(writer_mask) > 1) {
+    // 2PC is synchronous — the decision force is the latency floor anyway —
+    // so an async caller is acked inline per the base contract.
+    const Status s = CommitCrossShard(writer_mask);
+    if (s.ok() && ack != nullptr) (*ack)(s);
+    return s;
   }
-  return CommitCrossShard(writer_mask);
+  // At most one writer: that shard's own commit — locks, group commit,
+  // epoch ack, quorum ack, exactly as an unsharded engine — is the whole
+  // protocol (one-phase commit, no 2PC frames). Read-only sub-sessions
+  // release frame-free once it is done.
+  const uint32_t owner =
+      LowestBit(writer_mask != 0 ? writer_mask : begun_mask_);
+  const Status s = ack != nullptr
+                       ? sessions_[owner]->CommitAsync(std::move(*ack))
+                       : sessions_[owner]->Commit();
+  for (uint64_t m = begun_mask_ & ~(uint64_t{1} << owner); m != 0;
+       m &= m - 1) {
+    (void)sessions_[LowestBit(m)]->Commit();  // redo-free: logs nothing
+  }
+  ResetTxn();
+  return s;
 }
 
 Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
   metrics::Inc(db_->m_.coordinated);
   const uint32_t coord = LowestBit(writer_mask);
+  const uint64_t others = begun_mask_ & ~(uint64_t{1} << coord);
 
-  // --- Phase 1: prepare every participant ---------------------------------
+  // --- Phase 1: every other participant prepares, all at once -------------
+  // Each PREPARE rides its shard's async append path, so the flushes (and
+  // quorum acks) overlap and the round costs the slowest one, not the sum.
+  // The coordinator writes no PREPARE: its redo rides in the decision.
   TDP_CRASH_POINT("2pc.pre_prepare");
-  for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
-    const uint32_t i = LowestBit(m);
-    const Status p = sessions_[i]->PrepareCommit(gtid_, coord);
-    if (!p.ok()) {
-      // One NO vote aborts the round. No decision will ever be logged for
-      // this gtid, so any prepare frame that did reach a disk is presumed
-      // aborted at recovery; live state rolls back via retained undo.
-      metrics::Inc(db_->m_.aborted_presumed);
-      for (uint64_t r = begun_mask_; r != 0; r &= r - 1) {
-        sessions_[LowestBit(r)]->Rollback();
-      }
-      ResetTxn();
-      return p;
-    }
+  AckLatch votes;
+  for (uint64_t m = others; m != 0; m &= m - 1) {
+    sessions_[LowestBit(m)]->PrepareCommitAsync(gtid_, coord, votes.Expect());
+  }
+  const Status p = votes.Wait();
+  if (!p.ok()) {
+    // One NO vote aborts the round. No decision will ever be logged for
+    // this gtid, so any prepare frame that did reach a disk is presumed
+    // aborted at recovery; live state rolls back via retained undo.
+    metrics::Inc(db_->m_.aborted_presumed);
+    DoRollback();
+    return p;
   }
   metrics::Inc(db_->m_.prepared);
 
   // --- Commit point: the coordinator's durable decision frame -------------
+  // One forced frame carries the k2PCDecide marker and the coordinator's
+  // data redo, and releases the coordinator's sub-transaction.
   TDP_CRASH_POINT("2pc.pre_decide");
-  std::vector<log::RedoOp> decide;
-  decide.push_back(log::RedoOp{log::RedoOp::Kind::k2PCDecide, coord, gtid_,
-                               storage::Row{}});
-  const Status d = db_->shards_[coord]->AppendControlFrame(
-      gtid_, k2PCControlFrameBytes, std::move(decide), /*force=*/true);
+  const Status d = sessions_[coord]->CommitDecision(gtid_, coord);
   if (!d.ok()) {
     // Ambiguous: the decision frame is in the coordinator's append stream
     // but its durability could not be confirmed. Never roll back (a crash
@@ -266,7 +282,7 @@ Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
     // siblings presume abort). Release locks, keep the in-memory effects —
     // the same contract as a single-node quorum-loss commit — and surface
     // the retryable/unknown status to the client.
-    for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
+    for (uint64_t m = others; m != 0; m &= m - 1) {
       sessions_[LowestBit(m)]->CommitPrepared(gtid_,
                                               /*log_commit_frame=*/false);
     }
@@ -277,29 +293,13 @@ Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
 
   // --- Phase 2: participant commits (decision already proves the outcome) -
   TDP_CRASH_POINT("2pc.pre_ack");
-  for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
+  for (uint64_t m = others; m != 0; m &= m - 1) {
     sessions_[LowestBit(m)]->CommitPrepared(gtid_);
   }
   metrics::Inc(db_->m_.participant_commits,
-               static_cast<uint64_t>(PopCount(writer_mask)));
+               static_cast<uint64_t>(PopCount(writer_mask) - 1));
   ResetTxn();
   return Status::OK();
-}
-
-Status ShardedConnection::DoCommitAsync(CommitAckFn ack) {
-  if (!active_) return Status::InvalidArgument("no open transaction");
-  if (PopCount(begun_mask_) == 1) {
-    metrics::Inc(db_->m_.single_shard_txns);
-    const Status s = sessions_[LowestBit(begun_mask_)]->CommitAsync(
-        std::move(ack));
-    ResetTxn();
-    return s;
-  }
-  // Cross-shard (or empty): 2PC is synchronous — the decision force is the
-  // latency floor anyway — so ack inline per the base contract.
-  const Status s = DoCommit();
-  if (s.ok()) ack(s);
-  return s;
 }
 
 void ShardedConnection::DoRollback() {

@@ -8,18 +8,21 @@
 // operation to its owner shard through lazily-begun per-shard sub-sessions.
 //
 // Commit protocol:
-//  * Transactions that touched ONE shard commit through that shard's
-//    existing path untouched — same locks, same log, same quorum ack. This
-//    is the fast path sharding must not tax.
-//  * Transactions that touched several shards and wrote on at least one run
-//    two-phase commit with presumed abort over the shards' own CRC32C-framed
-//    logs: every participant forces a PREPARE frame (its data redo behind a
-//    k2PCPrepare marker), the coordinator — the lowest-numbered writing
-//    shard — forces a k2PCDecide frame (THE commit point), then participants
-//    append unforced k2PCCommit frames and release. No decision anywhere
-//    means recovery (Filter2PCRedo) drops the prepares: presumed abort.
-//  * Cross-shard transactions that wrote nothing release per shard with no
-//    frames — there is no durable state to coordinate.
+//  * Transactions that wrote on at most ONE shard commit through that
+//    shard's existing path untouched — same locks, same log, same quorum
+//    ack — and any other (read-only) sub-sessions then release with no
+//    frames. This is the fast path sharding must not tax; a cross-shard
+//    transaction with a single writer takes it too (one-phase commit).
+//  * Transactions that wrote on two or more shards run two-phase commit
+//    with presumed abort over the shards' own CRC32C-framed logs, in two
+//    rounds of forces. Round one: every participant except the coordinator
+//    (the lowest-numbered writing shard) issues its PREPARE frame (its data
+//    redo behind a k2PCPrepare marker) at once through its shard's async
+//    append path, and the calling thread collects the votes. Round two:
+//    the coordinator forces ONE k2PCDecide frame carrying its own data redo
+//    — THE commit point. Participants then append unforced k2PCCommit
+//    frames and release. No decision anywhere means recovery
+//    (Filter2PCRedo) drops the prepares: presumed abort.
 //
 // Cross-shard deadlocks: each shard's lock manager only sees its own wait
 // graph, so a cycle spanning shards is invisible to cycle detection and is
@@ -27,7 +30,8 @@
 // when cross-shard transactions are enabled).
 //
 // Metrics (docs/metrics.md): shard.single_shard_txns / shard.cross_shard_txns
-// classify commits; the 2PC ledger holds
+// classify commits by shards touched; 2pc.coordinated counts the rounds run
+// for two or more writers. The 2PC ledger holds
 //     2pc.prepared + 2pc.aborted_presumed == 2pc.coordinated
 // (every coordinated round either fully prepares or presumes abort before
 // the decision).
@@ -54,7 +58,7 @@ struct ShardedDatabaseConfig {
 class ShardedDatabase;
 
 /// One client connection over the sharded engine. Routes row operations to
-/// owner shards via lazily-begun sub-sessions; Commit picks the single-shard
+/// owner shards via lazily-begun sub-sessions; Commit picks the one-writer
 /// fast path or 2PC (see file header). Thread-per-connection like the
 /// underlying sessions.
 class ShardedConnection : public Connection {
@@ -89,6 +93,8 @@ class ShardedConnection : public Connection {
   /// failure (with *status set).
   MySQLSession* SessionFor(uint32_t table, uint64_t key, Status* status);
   MySQLSession* SessionForShard(uint32_t shard, Status* status);
+  /// DoCommit (`ack` null) and DoCommitAsync share this path.
+  Status CommitRouted(CommitAckFn* ack);
   Status CommitCrossShard(uint64_t writer_mask);
   void ResetTxn();
 

@@ -125,26 +125,40 @@ void RedoLog::DrainEpoch() {
   // the entire un-flushed epoch atomically: no ack has fired yet, and none
   // will fire OK unless the flush lands (crash_point_test pins this).
   TDP_CRASH_POINT("epoch.pre_flush");
-  WriteAndFlushUpTo(target);
+  const Status flushed = WriteAndFlushUpTo(target);
   // Fire exactly the acks the flush made durable; on a failed/degraded
-  // flush the uncovered tail stays parked for the next epoch (or Stop).
-  std::vector<EpochWaiter> fire;
+  // flush the uncovered tail stays parked for the next epoch (or Stop) —
+  // unless the process crashed: the device then stays dark until reboot, so
+  // no later epoch can cover the tail. Resolve it as lost now, as Stop
+  // would, rather than strand a committer blocked on its ack (a 2PC
+  // coordinator collecting prepare votes).
+  std::vector<EpochWaiter> fire, lost;
   {
     std::lock_guard<std::mutex> g(mu_);
     const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
     size_t n = 0;  // waiters are in LSN order (parked under mu_)
     while (n < epoch_waiters_.size() && epoch_waiters_[n].lsn <= durable) ++n;
-    if (n == 0) return;
-    fire.assign(std::make_move_iterator(epoch_waiters_.begin()),
-                std::make_move_iterator(epoch_waiters_.begin() +
-                                        static_cast<ptrdiff_t>(n)));
+    const size_t resolve = !flushed.ok() && CrashPoints::Global().triggered()
+                               ? epoch_waiters_.size()
+                               : n;
+    if (resolve == 0) return;
+    auto first = std::make_move_iterator(epoch_waiters_.begin());
+    fire.assign(first, first + static_cast<ptrdiff_t>(n));
+    lost.assign(first + static_cast<ptrdiff_t>(n),
+                first + static_cast<ptrdiff_t>(resolve));
     epoch_waiters_.erase(epoch_waiters_.begin(),
-                         epoch_waiters_.begin() + static_cast<ptrdiff_t>(n));
+                         epoch_waiters_.begin() +
+                             static_cast<ptrdiff_t>(resolve));
   }
-  stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.epoch_flushes);
-  metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
+  if (!fire.empty()) {
+    stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
+    metrics::Inc(m_.epoch_flushes);
+    metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
+  }
   for (EpochWaiter& w : fire) w.ack(Status::OK());
+  for (EpochWaiter& w : lost) {
+    w.ack(Status::Aborted("log device lost in crash"));
+  }
 }
 
 void RedoLog::AdvanceDurableLocked(uint64_t floor) {

@@ -17,14 +17,18 @@ namespace tdp::log {
 /// table. They reuse the row-op wire layout with `table` = the coordinator
 /// shard id and `key` = the global transaction id (gtid):
 ///
-///   k2PCPrepare  first op of a participant's PREPARE frame; the frame's
-///                remaining ops are the participant's data redo, replayed
-///                only if the gtid was decided (or locally committed).
-///   k2PCDecide   sole op of the coordinator's DECISION frame — the commit
-///                point. No decision frame anywhere => presumed abort.
-///   k2PCCommit   sole op of a participant's local COMMIT frame, written
-///                after the decision so that shard's own log proves the
-///                outcome without consulting the coordinator.
+///   k2PCPrepare  first op of a non-coordinator participant's PREPARE
+///                frame; the frame's remaining ops are the participant's
+///                data redo, replayed only if the gtid was decided (or
+///                locally committed).
+///   k2PCDecide   first op of the coordinator's DECISION frame — the commit
+///                point. The coordinator logs no PREPARE: its data redo
+///                follows the marker in this frame and replays with it (a
+///                marker-only decision, the older layout, replays nothing).
+///                No decision frame anywhere => presumed abort.
+///   k2PCCommit   sole op of a non-coordinator participant's local COMMIT
+///                frame, written after the decision so that shard's own log
+///                proves the outcome without consulting the coordinator.
 struct RedoOp {
   enum class Kind { kPut, kDelete, k2PCPrepare, k2PCDecide, k2PCCommit };
   Kind kind = Kind::kPut;

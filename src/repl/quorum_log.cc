@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <functional>
 
+#include "common/ack_latch.h"
 #include "common/crash_point.h"
 #include "log/log_codec.h"
 
@@ -206,26 +207,14 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
 
 uint64_t QuorumLog::Commit(uint64_t txn_id, uint64_t bytes,
                            std::vector<log::RedoOp> ops, Status* durable) {
-  struct SyncState {
-    std::mutex m;
-    std::condition_variable cv;
-    bool fired = false;
-    Status s;
-  };
-  auto st = std::make_shared<SyncState>();
-  const uint64_t lsn =
-      CommitAsync(txn_id, bytes, std::move(ops), [st](const Status& s) {
-        std::lock_guard<std::mutex> g(st->m);
-        st->s = s;
-        st->fired = true;
-        st->cv.notify_all();
-      });
-  std::unique_lock<std::mutex> lk(st->m);
   // The ack always fires: inline when covered, from a shipper or the epoch
   // thread when the quorum advances, from the quorum-lost resolution, or
   // from Stop. No timeout needed.
-  st->cv.wait(lk, [&] { return st->fired; });
-  if (durable != nullptr) *durable = st->s;
+  AckLatch acked;
+  const uint64_t lsn =
+      CommitAsync(txn_id, bytes, std::move(ops), acked.Expect());
+  const Status s = acked.Wait();
+  if (durable != nullptr) *durable = s;
   return lsn;
 }
 

@@ -557,7 +557,13 @@ TEST(TransactionServiceTest, RequeueAndExpiryRaceKeepsAccountingExact) {
   std::atomic<uint64_t> callbacks{0};
   auto done = [&](const Response&) { callbacks.fetch_add(1); };
   std::atomic<int> pinned_calls{0};
-  for (int i = 0; i < 2; ++i) {
+  uint64_t admitted_by_test = 0;
+  // One pinning request at a time. On a loaded machine a worker may take
+  // longer than the 1ms deadline to dequeue it, and then it expires
+  // without running (its callback fires instead) — submit another.
+  while (entered.load() < 2) {
+    const int entered_before = entered.load();
+    const uint64_t callbacks_before = callbacks.load();
     ASSERT_TRUE(svc.Submit([&](engine::Connection& c) -> Status {
                       if (pinned_calls.fetch_add(1) < 2) {
                         entered.fetch_add(1);
@@ -568,11 +574,14 @@ TEST(TransactionServiceTest, RequeueAndExpiryRaceKeepsAccountingExact) {
                     },
                            done)
                     .ok());
+    ++admitted_by_test;
+    while (entered.load() == entered_before &&
+           callbacks.load() == callbacks_before) {
+      std::this_thread::yield();
+    }
   }
-  while (entered.load() < 2) std::this_thread::yield();
 
   Rng rng(42);
-  uint64_t admitted_by_test = 2;
   for (int i = 0; i < 60; ++i) {
     const bool flaky = rng.Bernoulli(0.3);
     auto counter = std::make_shared<std::atomic<int>>(0);

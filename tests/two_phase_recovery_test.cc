@@ -1,12 +1,14 @@
 // Presumed-abort 2PC recovery: Filter2PCRedo's cross-stream resolution over
-// hand-built streams, the participant seam (PrepareCommit/CommitPrepared)
-// end to end through real CRC32C-framed crash images, and the codec
-// roundtrip of the k2PC* frame kinds (docs/sharding.md).
+// hand-built streams (folded decision frames and the older decision-only
+// layout), the participant seam (PrepareCommitAsync/CommitPrepared) end to
+// end through real CRC32C-framed crash images, and the codec roundtrip of
+// the k2PC* frame kinds (docs/sharding.md).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "common/ack_latch.h"
 #include "common/clock.h"
 #include "engine/mysqlmini.h"
 #include "engine/recovery.h"
@@ -45,6 +47,13 @@ RecoveredTxn ControlFrame(uint64_t lsn, RedoOp::Kind kind, uint32_t coord,
   t.lsn = lsn;
   t.ops.push_back(Marker(kind, coord, gtid));
   return t;
+}
+
+/// Phase 1 on one participant session, waiting for its vote.
+Status Prepare(MySQLSession* session, uint64_t gtid, uint32_t coord_shard) {
+  AckLatch vote;
+  session->PrepareCommitAsync(gtid, coord_shard, vote.Expect());
+  return vote.Wait();
 }
 
 RecoveredTxn PlainFrame(uint64_t txn_id, uint64_t lsn, std::vector<RedoOp> ops) {
@@ -136,6 +145,74 @@ TEST(Filter2PCRedoTest, MixedDecidedAndUndecidedGtids) {
   EXPECT_EQ(st.presumed_aborted, 1u);
 }
 
+/// DECISION frame in the folded layout: marker, then the coordinator's data.
+RecoveredTxn DecisionFrame(uint64_t lsn, uint32_t coord, uint64_t gtid,
+                           std::vector<RedoOp> data) {
+  RecoveredTxn t = ControlFrame(lsn, RedoOp::Kind::k2PCDecide, coord, gtid);
+  for (RedoOp& op : data) t.ops.push_back(std::move(op));
+  return t;
+}
+
+TEST(Filter2PCRedoTest, DecisionFrameDataReplaysOnCoordinatorOnly) {
+  // Folded layout: the coordinator (shard 0) logged no PREPARE — its data
+  // rides behind the decision marker. Shard 1 holds a PREPARE.
+  std::vector<std::vector<RecoveredTxn>> streams(2);
+  streams[0].push_back(DecisionFrame(1, 0, 31, {Put(0, 10, 5), Put(0, 12, 7)}));
+  streams[1].push_back(PrepareFrame(1, 0, 31, {Put(0, 11, 6)}));
+
+  TwoPhaseRecoveryStats s0;
+  const auto out0 = Filter2PCRedo(streams, 0, &s0);
+  ASSERT_EQ(out0.size(), 1u);
+  ASSERT_EQ(out0[0].ops.size(), 2u);  // marker stripped, data kept
+  EXPECT_EQ(out0[0].ops[0].kind, RedoOp::Kind::kPut);
+  EXPECT_EQ(out0[0].ops[0].key, 10u);
+  EXPECT_EQ(out0[0].ops[1].key, 12u);
+  EXPECT_EQ(s0.decided, 1u);
+  EXPECT_EQ(s0.replayed_decisions, 1u);
+  EXPECT_EQ(s0.replayed_prepared, 0u);
+
+  // The participant replays only its own PREPARE data, never the
+  // coordinator's decision payload.
+  TwoPhaseRecoveryStats s1;
+  const auto out1 = Filter2PCRedo(streams, 1, &s1);
+  ASSERT_EQ(out1.size(), 1u);
+  ASSERT_EQ(out1[0].ops.size(), 1u);
+  EXPECT_EQ(out1[0].ops[0].key, 11u);
+  EXPECT_EQ(s1.replayed_decisions, 0u);
+  EXPECT_EQ(s1.replayed_prepared, 1u);
+}
+
+TEST(Filter2PCRedoTest, DecisionOnlyFrameReplaysNothing) {
+  // The older layout: the coordinator prepared separately and its decision
+  // frame is marker-only. Such images must stay recoverable unchanged.
+  std::vector<std::vector<RecoveredTxn>> streams(1);
+  streams[0].push_back(PrepareFrame(1, 0, 8, {Put(0, 1, 1)}));
+  streams[0].push_back(ControlFrame(2, RedoOp::Kind::k2PCDecide, 0, 8));
+
+  TwoPhaseRecoveryStats st;
+  const auto out = Filter2PCRedo(streams, 0, &st);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].lsn, 1u);  // the PREPARE's data, not the decision
+  EXPECT_EQ(out[0].ops.size(), 1u);
+  EXPECT_EQ(st.replayed_decisions, 0u);
+  EXPECT_EQ(st.replayed_prepared, 1u);
+}
+
+TEST(Filter2PCRedoTest, UndecidedParticipantPrepareIsPresumedAborted) {
+  // Folded layout, coordinator crashed before its decision frame: only the
+  // non-coordinator PREPARE reached a disk, and it must not replay.
+  std::vector<std::vector<RecoveredTxn>> streams(3);
+  streams[1].push_back(PrepareFrame(1, 0, 64, {Put(0, 4, 4)}));
+  streams[2].push_back(PrepareFrame(1, 0, 64, {Put(0, 5, 5)}));
+  for (size_t shard = 0; shard < 3; ++shard) {
+    TwoPhaseRecoveryStats st;
+    EXPECT_TRUE(Filter2PCRedo(streams, shard, &st).empty());
+    EXPECT_EQ(st.decided, 0u);
+    EXPECT_EQ(st.presumed_aborted, shard == 0 ? 0u : 1u);
+    EXPECT_EQ(st.replayed_decisions, 0u);
+  }
+}
+
 // --- end to end through real crash images ----------------------------------
 
 ShardedDatabaseConfig RecoveryConfig(int num_shards) {
@@ -189,8 +266,9 @@ TEST(TwoPhaseRecoveryTest, CommittedCrossShardTxnSurvivesCrash) {
 
   const auto streams = CrashStreams(db.get());
 
-  // The codec roundtrip: shard 0 (the coordinator) carries a PREPARE, the
-  // DECISION, and its participant COMMIT; shard 1 a PREPARE and COMMIT.
+  // The codec roundtrip: shard 0 (the coordinator) carries only the
+  // DECISION, with its data redo folded in behind the marker; shard 1 a
+  // PREPARE and its participant COMMIT.
   int decides = 0, prepares = 0, commits = 0;
   for (const auto& stream : streams) {
     for (const RecoveredTxn& txn : stream) {
@@ -202,8 +280,8 @@ TEST(TwoPhaseRecoveryTest, CommittedCrossShardTxnSurvivesCrash) {
     }
   }
   EXPECT_EQ(decides, 1);
-  EXPECT_EQ(prepares, 2);
-  EXPECT_EQ(commits, 2);
+  EXPECT_EQ(prepares, 1);
+  EXPECT_EQ(commits, 1);
 
   auto fresh = std::make_unique<ShardedDatabase>(RecoveryConfig(2));
   ASSERT_EQ(fresh->CreateTable("acct", 64), t);
@@ -213,7 +291,10 @@ TEST(TwoPhaseRecoveryTest, CommittedCrossShardTxnSurvivesCrash) {
     TwoPhaseRecoveryStats st;
     const auto filtered =
         Filter2PCRedo(streams, static_cast<size_t>(s), &st);
-    EXPECT_EQ(st.replayed_prepared, 1u) << "shard " << s;
+    // The coordinator replays its data from the decision frame, the
+    // participant from its decided PREPARE.
+    EXPECT_EQ(st.replayed_decisions, s == 0 ? 1u : 0u) << "shard " << s;
+    EXPECT_EQ(st.replayed_prepared, s == 0 ? 0u : 1u) << "shard " << s;
     EXPECT_EQ(st.presumed_aborted, 0u) << "shard " << s;
     MySQLMini::RecoverInto(filtered, fresh->shard(s));
   }
@@ -242,8 +323,8 @@ TEST(TwoPhaseRecoveryTest, PreparedWithoutDecisionRollsBackEverywhere) {
   ASSERT_TRUE(s0->Update(t, k0, 0, 11).ok());
   ASSERT_TRUE(s1->Update(t, k1, 0, 22).ok());
   const uint64_t gtid = 555;
-  ASSERT_TRUE(s0->PrepareCommit(gtid, 0).ok());
-  ASSERT_TRUE(s1->PrepareCommit(gtid, 0).ok());
+  ASSERT_TRUE(Prepare(s0.get(), gtid, 0).ok());
+  ASSERT_TRUE(Prepare(s1.get(), gtid, 0).ok());
   EXPECT_TRUE(s0->prepared());
   EXPECT_TRUE(s1->prepared());
   // Crash here: no decision was ever logged.
@@ -291,7 +372,7 @@ TEST(TwoPhaseRecoveryTest, AmbiguousDecisionLogsNoParticipantCommit) {
   auto s1 = db->shard(1)->ConnectSession();
   ASSERT_TRUE(s1->Begin().ok());
   ASSERT_TRUE(s1->Update(t, k1, 0, 22).ok());
-  ASSERT_TRUE(s1->PrepareCommit(/*gtid=*/7, /*coord_shard=*/0).ok());
+  ASSERT_TRUE(Prepare(s1.get(), /*gtid=*/7, /*coord_shard=*/0).ok());
   s1->CommitPrepared(/*gtid=*/7, /*log_commit_frame=*/false);
   s1.reset();
 

@@ -1097,7 +1097,9 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
 // 2pc.pre_decide (prepares durable, decision not yet), 2pc.pre_ack
 // (decision durable, participant commits not yet) — or at the generic redo.*
 // commit sites, or not at all. Per-shard checkpoints and torn log tails ride
-// along on some seeds.
+// along on some seeds; half the seeds run epoch async commit, so the
+// prepare fan-out parks on several shards' epochs at once and the crash can
+// land on any of their epoch threads.
 //
 // At reboot every shard's crash image is decoded independently, 2PC outcomes
 // are resolved across the streams with engine::Filter2PCRedo (presumed
@@ -1127,11 +1129,18 @@ struct CoordPlan {
   std::string crash_point;  ///< Empty = clean run.
   uint64_t crash_occurrence = 1;
   bool torn_tail = false;
+  /// Epoch async group commit on every shard: the concurrent PREPAREs and
+  /// the DECISION park on per-shard epochs and complete out of order,
+  /// instead of each flushing inline on the coordinator's thread.
+  bool async_epoch = false;
 };
 
 CoordPlan MakeCoordPlan(uint64_t seed, Rng* rng) {
   CoordPlan plan;
   plan.num_shards = 2 + static_cast<int>(seed % 3);
+  // From the seed, not the plan stream, so the eager seeds keep their
+  // workloads; seed % 6 covers every (shard count, log mode) pair.
+  plan.async_epoch = (seed / 3) % 2 == 1;
   plan.use_checkpoints = rng->Bernoulli(0.4);
   plan.checkpoint_every = 4 + rng->Uniform(8);
   const double arm = rng->NextDouble();
@@ -1168,6 +1177,7 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
   cfg.shard.logical_redo = true;
   cfg.shard.row_work_ns = 0;
   cfg.shard.flush_policy = log::FlushPolicy::kEagerFlush;
+  cfg.shard.log_async_commit = plan.async_epoch;
   cfg.shard.data_disk = quick_disk;
   cfg.shard.log_disk = quick_disk;
   cfg.shard.seed = seed + 1;
@@ -1427,10 +1437,12 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
 
   if (verbose) {
     std::printf(
-        "seed %llu: shards=%d committed=%llu cross=%llu undecided=%d "
-        "crash=%s ckpt=%d torn=%d 2pc[coord=%llu prep=%llu abort=%llu "
-        "decide=%llu] recov[replayed=%llu presumed=%llu]\n",
+        "seed %llu: shards=%d async=%d committed=%llu cross=%llu "
+        "undecided=%d crash=%s ckpt=%d torn=%d 2pc[coord=%llu prep=%llu "
+        "abort=%llu decide=%llu] recov[decisions=%llu prepares=%llu "
+        "presumed=%llu]\n",
         static_cast<unsigned long long>(seed), plan.num_shards,
+        plan.async_epoch ? 1 : 0,
         static_cast<unsigned long long>(result.committed),
         static_cast<unsigned long long>(cross_txns),
         undecided.has_value() ? 1 : 0,
@@ -1440,6 +1452,7 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
         static_cast<unsigned long long>(prepared_d),
         static_cast<unsigned long long>(aborted_d),
         static_cast<unsigned long long>(decisions_d),
+        static_cast<unsigned long long>(tstats.replayed_decisions),
         static_cast<unsigned long long>(tstats.replayed_prepared),
         static_cast<unsigned long long>(tstats.presumed_aborted));
   }
