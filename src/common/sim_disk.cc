@@ -85,7 +85,6 @@ Status SimDisk::Service(IoOp op, uint64_t bytes, int64_t extra_ns) {
   device_cv_.notify_one();
   in_service_.fetch_sub(1, std::memory_order_relaxed);
   stats_.bytes.fetch_add(effective_bytes, std::memory_order_relaxed);
-  service_times_.Add(NowNanos() - start);
   if (fail) {
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_lost.fetch_add(bytes - effective_bytes,

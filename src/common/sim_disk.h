@@ -20,7 +20,6 @@
 
 #include "common/fault.h"
 #include "common/random.h"
-#include "common/stats.h"
 #include "common/status.h"
 
 namespace tdp {
@@ -100,8 +99,6 @@ class SimDisk {
     std::atomic<uint64_t> bytes_lost{0};
   };
   const Stats& stats() const { return stats_; }
-  /// Total time requests spent queued + serviced.
-  const LatencySample& service_times() const { return service_times_; }
 
  private:
   Status Service(IoOp op, uint64_t bytes, int64_t extra_ns);
@@ -116,7 +113,6 @@ class SimDisk {
   std::atomic<int> waiting_{0};
   std::atomic<int> in_service_{0};
   Stats stats_;
-  LatencySample service_times_;
 };
 
 }  // namespace tdp

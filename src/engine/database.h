@@ -17,13 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include <utility>
 #include <vector>
 
+#include "common/durable_acks.h"
 #include "common/status.h"
 #include "storage/table.h"
 
@@ -71,7 +71,7 @@ class Connection {
   Status Commit() { return Note(DoCommit()); }
 
   /// Durability acknowledgement for CommitAsync. See the contract there.
-  using CommitAckFn = std::function<void(const Status&)>;
+  using CommitAckFn = tdp::AckFn;
 
   /// Asynchronous commit (docs/group_commit.md): the transaction commits
   /// logically — locks released, session reset — and the call returns as

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/ack_latch.h"
+#include "common/durable_acks.h"
 #include "common/work.h"
 #include "tprofiler/profiler.h"
 
@@ -84,17 +84,16 @@ std::unique_ptr<MySQLSession> MySQLMini::ConnectSession() {
   return std::make_unique<MySQLSession>(this);
 }
 
-void MySQLMini::AppendControlFrameAsync(uint64_t gtid, uint64_t bytes,
-                                        std::vector<log::RedoOp> ops,
-                                        Connection::CommitAckFn ack) {
-  // Mirror the nominal bytes into mysql.redo_bytes up front, exactly like a
-  // commit record: the frame is in the append stream whether or not it
-  // becomes durable, and log.bytes_written will count it at flush time.
+void MySQLMini::AppendAsync(uint64_t txn_id, uint64_t bytes,
+                            std::vector<log::RedoOp> ops, AckFn ack) {
+  // Mirror the nominal bytes into mysql.redo_bytes up front: the record is
+  // in the append stream whether or not it becomes durable, and
+  // log.bytes_written will count it at flush time.
   metrics::Inc(m_.redo_bytes, bytes);
   if (quorum_log_ != nullptr) {
-    quorum_log_->CommitAsync(gtid, bytes, std::move(ops), std::move(ack));
+    quorum_log_->CommitAsync(txn_id, bytes, std::move(ops), std::move(ack));
   } else {
-    redo_log_->CommitAsync(gtid, bytes, std::move(ops), std::move(ack));
+    redo_log_->CommitAsync(txn_id, bytes, std::move(ops), std::move(ack));
   }
 }
 
@@ -103,7 +102,7 @@ Status MySQLMini::AppendControlFrame(uint64_t gtid, uint64_t bytes,
                                      bool force) {
   if (force) {
     AckLatch durable;
-    AppendControlFrameAsync(gtid, bytes, std::move(ops), durable.Expect());
+    AppendAsync(gtid, bytes, std::move(ops), durable.Expect());
     return durable.Wait();
   }
   // Unforced: the decision already proves the outcome, so this frame's
@@ -111,7 +110,7 @@ Status MySQLMini::AppendControlFrame(uint64_t gtid, uint64_t bytes,
   // still counts it submitted/resolved); a plain log applies its flush
   // policy, so lazy policies leave the frame to the flusher.
   if (quorum_log_ != nullptr) {
-    AppendControlFrameAsync(gtid, bytes, std::move(ops), [](const Status&) {});
+    AppendAsync(gtid, bytes, std::move(ops), [](const Status&) {});
     return Status::OK();
   }
   metrics::Inc(m_.redo_bytes, bytes);
@@ -433,7 +432,7 @@ void MySQLSession::PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
   // A non-OK ack is the NO vote: the frame may or may not have reached the
   // device, but no decision will ever be logged for this gtid, so recovery
   // presumes abort.
-  db_->AppendControlFrameAsync(
+  db_->AppendAsync(
       gtid, bytes,
       RedoBehind(log::RedoOp::Kind::k2PCPrepare, coord_shard, gtid),
       std::move(vote));
@@ -523,18 +522,12 @@ Status MySQLSession::DoCommitAsync(CommitAckFn ack) {
     return Status::Aborted("transaction had failed; rolled back");
   }
   if (redo_bytes_ > 0) {
-    metrics::Inc(db_->m_.redo_bytes, redo_bytes_);
     // Early lock release: the commit record is appended (LSN assigned in
     // commit order under the log mutex) before locks drop, and the epoch
     // only acks durable prefixes — so no transaction can ack durable while
     // one it read from is still pending. The ack carries durability.
-    if (db_->quorum_log_ != nullptr) {
-      db_->quorum_log_->CommitAsync(txn_->id, redo_bytes_,
-                                    std::move(redo_ops_), std::move(ack));
-    } else {
-      db_->redo_log_->CommitAsync(txn_->id, redo_bytes_, std::move(redo_ops_),
-                                  std::move(ack));
-    }
+    db_->AppendAsync(txn_->id, redo_bytes_, std::move(redo_ops_),
+                     std::move(ack));
     ReleaseAndReset();
     return Status::OK();
   }

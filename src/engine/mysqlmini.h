@@ -280,18 +280,17 @@ class MySQLMini : public Database {
  private:
   friend class MySQLSession;
 
-  /// Appends a 2PC control frame (the gtid is the frame's txn id) to this
-  /// shard's log through its async append path — the quorum layer when
-  /// replication is on, else the redo log's epoch path — and mirrors
-  /// `bytes` into mysql.redo_bytes. `ack` fires exactly once when the
-  /// frame's durability is decided (see RedoLog::CommitAsync: without an
-  /// epoch thread the append flushes inline and acks before returning).
-  void AppendControlFrameAsync(uint64_t gtid, uint64_t bytes,
-                               std::vector<log::RedoOp> ops,
-                               Connection::CommitAckFn ack);
-  /// Forced: AppendControlFrameAsync, then waits for the ack and reports
-  /// it. Unforced appends return OK as soon as the frame is in the stream;
-  /// its durability is left to the quorum layer or the flush policy.
+  /// Appends a commit record or a 2PC control frame (whose txn id is the
+  /// gtid) to this shard's log through its async append path — the quorum
+  /// layer when replication is on, else the redo log's epoch path — and
+  /// mirrors `bytes` into mysql.redo_bytes. `ack` fires exactly once when
+  /// the record's durability is decided (see RedoLog::CommitAsync: without
+  /// an epoch thread the append flushes inline and acks before returning).
+  void AppendAsync(uint64_t txn_id, uint64_t bytes,
+                   std::vector<log::RedoOp> ops, AckFn ack);
+  /// Forced: AppendAsync, then waits for the ack and reports it. Unforced
+  /// appends return OK as soon as the frame is in the stream; its
+  /// durability is left to the quorum layer or the flush policy.
   Status AppendControlFrame(uint64_t gtid, uint64_t bytes,
                             std::vector<log::RedoOp> ops, bool force);
 

@@ -2,8 +2,8 @@
 
 #include <cassert>
 
-#include "common/ack_latch.h"
 #include "common/crash_point.h"
+#include "common/durable_acks.h"
 
 namespace tdp::engine {
 

@@ -66,21 +66,16 @@ void RedoLog::Stop() {
   if (flusher_.joinable()) flusher_.join();
   if (epoch_.joinable()) epoch_.join();
   // Resolve parked acks. Stop does NOT flush (crash simulation relies on
-  // that), so a waiter an earlier epoch already covered acks OK and every
-  // other waiter acks non-OK — an acked-OK-but-lost commit is impossible.
-  std::vector<EpochWaiter> covered, lost;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-    for (EpochWaiter& w : epoch_waiters_) {
-      (w.lsn <= durable ? covered : lost).push_back(std::move(w));
-    }
-    epoch_waiters_.clear();
-  }
-  for (EpochWaiter& w : covered) w.ack(Status::OK());
-  for (EpochWaiter& w : lost) {
-    w.ack(Status::Aborted("log stopped before epoch flush"));
-  }
+  // that), so an ack an earlier epoch already covered fires OK and every
+  // other one fires non-OK — an acked-OK-but-lost commit is impossible.
+  TakeParked(/*lose_rest=*/true)
+      .Fire(Status::Aborted("log stopped before epoch flush"));
+}
+
+TakenAcks RedoLog::TakeParked(bool lose_rest) {
+  std::lock_guard<std::mutex> g(mu_);
+  return parked_.Partition(durable_lsn_.load(std::memory_order_relaxed),
+                           lose_rest);
 }
 
 void RedoLog::FlusherLoop() {
@@ -118,8 +113,8 @@ void RedoLog::DrainEpoch() {
   uint64_t target = 0;
   {
     std::lock_guard<std::mutex> g(mu_);
-    if (epoch_waiters_.empty()) return;
-    target = epoch_waiters_.back().lsn;
+    if (parked_.empty()) return;
+    target = parked_.last_mark();
   }
   // The whole parked batch rides one leader flush. A crash armed here loses
   // the entire un-flushed epoch atomically: no ack has fired yet, and none
@@ -132,33 +127,14 @@ void RedoLog::DrainEpoch() {
   // no later epoch can cover the tail. Resolve it as lost now, as Stop
   // would, rather than strand a committer blocked on its ack (a 2PC
   // coordinator collecting prepare votes).
-  std::vector<EpochWaiter> fire, lost;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-    size_t n = 0;  // waiters are in LSN order (parked under mu_)
-    while (n < epoch_waiters_.size() && epoch_waiters_[n].lsn <= durable) ++n;
-    const size_t resolve = !flushed.ok() && CrashPoints::Global().triggered()
-                               ? epoch_waiters_.size()
-                               : n;
-    if (resolve == 0) return;
-    auto first = std::make_move_iterator(epoch_waiters_.begin());
-    fire.assign(first, first + static_cast<ptrdiff_t>(n));
-    lost.assign(first + static_cast<ptrdiff_t>(n),
-                first + static_cast<ptrdiff_t>(resolve));
-    epoch_waiters_.erase(epoch_waiters_.begin(),
-                         epoch_waiters_.begin() +
-                             static_cast<ptrdiff_t>(resolve));
-  }
-  if (!fire.empty()) {
+  TakenAcks taken = TakeParked(!flushed.ok() &&
+                               CrashPoints::Global().triggered());
+  if (!taken.ok.empty()) {
     stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.epoch_flushes);
-    metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
+    metrics::Observe(m_.epoch_batch, static_cast<int64_t>(taken.ok.size()));
   }
-  for (EpochWaiter& w : fire) w.ack(Status::OK());
-  for (EpochWaiter& w : lost) {
-    w.ack(Status::Aborted("log device lost in crash"));
-  }
+  taken.Fire(Status::Aborted("log device lost in crash"));
 }
 
 void RedoLog::AdvanceDurableLocked(uint64_t floor) {
@@ -283,25 +259,37 @@ Status RedoLog::ForceDurable() {
              : Status::Busy("force-durable flush fell short");
 }
 
-uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
-                         std::vector<RedoOp> ops) {
-  TPROF_SCOPE("log_write_up_to");
-  uint64_t my_lsn;
+uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
+                         std::vector<RedoOp> ops, AckFn* park) {
+  uint64_t lsn;
   {
     std::lock_guard<std::mutex> g(mu_);
-    my_lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
     // Frame the record into the log image before the policy decides when it
     // reaches the device. LSN assignment and the append share mu_, so frame
     // order in image_ is LSN order.
-    AppendLogFrame(my_lsn, txn_id, ops, &image_);
+    AppendLogFrame(lsn, txn_id, ops, &image_);
     records_.push_back(
-        Record{txn_id, my_lsn, bytes, std::move(ops), image_.size()});
+        Record{txn_id, lsn, bytes, std::move(ops), image_.size()});
     unwritten_bytes_ += bytes;
+    // running_ is re-checked here: once Stop() has flipped it, parking
+    // would strand the ack past Stop's drain, so the caller flushes itself.
+    if (park != nullptr && config_.async_commit &&
+        running_.load(std::memory_order_relaxed)) {
+      parked_.Park(lsn, std::move(*park));
+      *park = nullptr;
+    }
   }
   TDP_CRASH_POINT("redo.append");
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits);
+  return lsn;
+}
 
+uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
+                         std::vector<RedoOp> ops) {
+  TPROF_SCOPE("log_write_up_to");
+  const uint64_t my_lsn = Append(txn_id, bytes, std::move(ops), nullptr);
   switch (config_.policy) {
     case FlushPolicy::kLazyWrite:
       // Both the write and the flush are the flusher's job.
@@ -379,34 +367,14 @@ uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
 }
 
 uint64_t RedoLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
-                              std::vector<RedoOp> ops, CommitAckFn ack) {
+                              std::vector<RedoOp> ops, AckFn ack) {
   TPROF_SCOPE("log_write_up_to");
-  uint64_t my_lsn;
-  bool parked = false;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    my_lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    AppendLogFrame(my_lsn, txn_id, ops, &image_);
-    records_.push_back(
-        Record{txn_id, my_lsn, bytes, std::move(ops), image_.size()});
-    unwritten_bytes_ += bytes;
-    // Park under the same mu_ that assigned the LSN so epoch_waiters_ stays
-    // LSN-ordered. running_ is re-checked here: once Stop() has flipped it,
-    // parking would strand the ack past Stop's drain, so fall back to a
-    // synchronous flush below instead.
-    if (config_.async_commit && running_.load(std::memory_order_relaxed)) {
-      epoch_waiters_.push_back(EpochWaiter{my_lsn, std::move(ack)});
-      parked = true;
-    }
-  }
-  TDP_CRASH_POINT("redo.append");
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t my_lsn = Append(txn_id, bytes, std::move(ops), &ack);
   stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
   metrics::Inc(m_.async_commits);
-  if (!parked) {
-    // No epoch thread to cover us: lead a flush ourselves and ack inline.
-    // The ack still reports exactly what is durable.
+  if (ack) {
+    // Not parked — no epoch thread to cover us: lead a flush ourselves and
+    // ack inline. The ack still reports exactly what is durable.
     WriteAndFlushUpTo(my_lsn);
     const bool durable =
         durable_lsn_.load(std::memory_order_acquire) >= my_lsn;

@@ -18,13 +18,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/durable_acks.h"
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/stats.h"
@@ -96,19 +96,15 @@ class RedoLog {
   uint64_t Commit(uint64_t txn_id, uint64_t bytes,
                   std::vector<RedoOp> ops = {});
 
-  /// Durability acknowledgement for CommitAsync. Fired exactly once, off
-  /// the committing thread (epoch thread or Stop), with OK iff the record
-  /// is durable. Never fired OK for a record a crash image would lose.
-  using CommitAckFn = std::function<void(const Status&)>;
-
   /// Appends the commit record like Commit but returns immediately; the
-  /// caller's ack parks on the current epoch and fires once an epoch flush
-  /// covers the record (config.async_commit, docs/group_commit.md). When
+  /// caller's ack parks on the current epoch and fires exactly once, off
+  /// this thread (epoch thread or Stop), once an epoch flush covers the
+  /// record (config.async_commit, docs/group_commit.md). When
   /// the epoch thread is not running (async_commit off, or the log is
   /// stopped), degrades to a synchronous leader flush with an inline ack,
   /// so the exactly-once ack contract holds in every configuration.
   uint64_t CommitAsync(uint64_t txn_id, uint64_t bytes,
-                       std::vector<RedoOp> ops, CommitAckFn ack);
+                       std::vector<RedoOp> ops, AckFn ack);
 
   /// Flushes until every assigned LSN is durable (the write-ahead rule for
   /// checkpoints: a snapshot that includes a record must not be published
@@ -178,6 +174,13 @@ class RedoLog {
     size_t image_end;  ///< End offset of this record's frame in image_.
   };
 
+  /// The append step Commit and CommitAsync share: assigns the next LSN,
+  /// frames the record into image_ and queues its bytes, all under mu_.
+  /// When `park` is non-null and the epoch thread is running, also moves
+  /// *park onto the epoch (leaving it empty) under the same mu_, so parked
+  /// acks stay in LSN order. Returns the LSN.
+  uint64_t Append(uint64_t txn_id, uint64_t bytes, std::vector<RedoOp> ops,
+                  AckFn* park);
   /// Writes (if needed) and flushes everything up to the current end of log.
   /// Called by commit leaders and the background flusher. Returns non-OK
   /// only in fallback mode, when the device stalled past the deadline or a
@@ -191,6 +194,9 @@ class RedoLog {
   /// One epoch round: lead a flush covering every parked commit, then fire
   /// the acks the flush made durable. No-op on an empty epoch.
   void DrainEpoch();
+  /// Takes the parked acks durable_lsn_ covers, and the rest as lost when
+  /// `lose_rest` (ParkedAcks::Partition under mu_).
+  TakenAcks TakeParked(bool lose_rest);
   /// Advances durable_lsn_ to `floor`, then further across the contiguous
   /// prefix of out-of-order per-commit flush completions (completed_lsns_).
   /// durable_lsn_ is a *prefix* claim — every LSN <= durable is on the
@@ -209,14 +215,9 @@ class RedoLog {
   /// (an earlier committer's bytes are still in flight or failed). Drained
   /// into durable_lsn_ by AdvanceDurableLocked once the gap closes.
   std::set<uint64_t> completed_lsns_;
-  /// Commits parked on the epoch (LSN order — appended under mu_). Their
-  /// acks fire when an epoch flush covers them, or at Stop (non-OK if the
-  /// record never became durable).
-  struct EpochWaiter {
-    uint64_t lsn;
-    CommitAckFn ack;
-  };
-  std::vector<EpochWaiter> epoch_waiters_;
+  /// Acks parked on the epoch, by LSN. They fire when an epoch flush covers
+  /// them, or at Stop or a crashed flush (non-OK if never durable).
+  ParkedAcks parked_;
   /// The framed byte image of the log "file" (docs/recovery.md). LSNs are
   /// assigned under mu_ in append order, so frame order == LSN order and
   /// records_[lsn - 1].image_end maps the durable LSN to a byte offset.

@@ -291,9 +291,8 @@ Status PgSession::DoCommitAsync(CommitAckFn ack) {
     static const std::vector<log::RedoOp> kNoOps;
     const std::vector<log::RedoOp>& ops =
         db_->config_.logical_redo ? redo_ops_ : kNoOps;
-    Status ws = db_->wal_->CommitFlushAsync(txn_->id, wal_bytes_, ops,
-                                            std::move(ack));
-    (void)ws;  // the ack carries the durability outcome
+    // The ack carries the durability outcome.
+    db_->wal_->CommitFlushAsync(txn_->id, wal_bytes_, ops, std::move(ack));
   } else {
     ack(Status::OK());  // nothing to make durable
   }

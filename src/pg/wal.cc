@@ -53,20 +53,15 @@ void WalManager::Stop() {
   stop_cv_.notify_all();
   if (epoch_.joinable()) epoch_.join();
   // Resolve parked acks. Stop does NOT flush (crash simulation relies on
-  // that): a waiter whose frame an earlier barrier covered acks OK, every
-  // other waiter acks non-OK.
-  std::vector<CommitAckFn> covered, lost;
+  // that): an ack whose frame an earlier barrier covered fires OK, every
+  // other one fires non-OK.
   for (std::unique_ptr<LogSet>& set : sets_) {
-    std::lock_guard<std::mutex> g(set->mu);
-    for (LogSet::EpochWaiter& w : set->epoch_waiters) {
-      (w.offset <= set->durable_bytes ? covered : lost)
-          .push_back(std::move(w.ack));
+    TakenAcks taken;
+    {
+      std::lock_guard<std::mutex> g(set->mu);
+      taken = set->parked.Partition(set->durable_bytes, /*lose_rest=*/true);
     }
-    set->epoch_waiters.clear();
-  }
-  for (CommitAckFn& ack : covered) ack(Status::OK());
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Aborted("wal stopped before epoch flush"));
+    taken.Fire(Status::Aborted("wal stopped before epoch flush"));
   }
 }
 
@@ -84,10 +79,10 @@ void WalManager::EpochLoop() {
 }
 
 void WalManager::DrainEpochSet(LogSet* set) {
-  std::vector<LogSet::EpochWaiter> fire;
+  TakenAcks taken;
   {
-    std::unique_lock<std::mutex> lk(set->mu);
-    if (set->epoch_waiters.empty()) return;
+    std::lock_guard<std::mutex> g(set->mu);
+    if (set->parked.empty()) return;
     // The whole parked batch rides one barrier. A crash armed here loses
     // the entire un-flushed epoch atomically: no parked ack has fired, and
     // none will fire OK unless the barrier lands.
@@ -97,24 +92,19 @@ void WalManager::DrainEpochSet(LogSet* set) {
     const Status s = WriteAndFlush(set, bytes);
     if (!s.ok()) set->pending_bytes += bytes;
     // Fire exactly the acks the barrier covered (all of them on success;
-    // possibly an earlier-covered prefix on failure).
-    size_t n = 0;  // waiters are in frame order (parked under mu)
-    while (n < set->epoch_waiters.size() &&
-           set->epoch_waiters[n].offset <= set->durable_bytes) {
-      ++n;
-    }
-    if (n == 0) return;
-    fire.assign(std::make_move_iterator(set->epoch_waiters.begin()),
-                std::make_move_iterator(set->epoch_waiters.begin() +
-                                        static_cast<ptrdiff_t>(n)));
-    set->epoch_waiters.erase(
-        set->epoch_waiters.begin(),
-        set->epoch_waiters.begin() + static_cast<ptrdiff_t>(n));
+    // possibly an earlier-covered prefix on failure). The uncovered tail
+    // waits for the next epoch — unless the process crashed: the device is
+    // then dark until reboot, so resolve the tail as lost now, as Stop
+    // would (the same rule as RedoLog::DrainEpoch).
+    taken = set->parked.Partition(
+        set->durable_bytes, !s.ok() && CrashPoints::Global().triggered());
   }
-  stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.epoch_flushes);
-  metrics::Observe(m_.epoch_batch, static_cast<int64_t>(fire.size()));
-  for (LogSet::EpochWaiter& w : fire) w.ack(Status::OK());
+  if (!taken.ok.empty()) {
+    stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
+    metrics::Inc(m_.epoch_flushes);
+    metrics::Observe(m_.epoch_batch, static_cast<int64_t>(taken.ok.size()));
+  }
+  taken.Fire(Status::Aborted("wal device lost in crash"));
 }
 
 Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
@@ -181,13 +171,13 @@ Status WalManager::ForceDurable() {
 }
 
 Status WalManager::CommitFlush(uint64_t bytes) {
-  return CommitFlushInternal(0, bytes, nullptr, nullptr);
+  return FlushAndRelease(Insert(0, bytes, nullptr, nullptr), bytes);
 }
 
 Status WalManager::CommitFlush(uint64_t txn_id, uint64_t bytes,
                                const std::vector<log::RedoOp>& ops,
                                uint64_t* out_lsn) {
-  return CommitFlushInternal(txn_id, bytes, &ops, out_lsn);
+  return FlushAndRelease(Insert(txn_id, bytes, &ops, out_lsn), bytes);
 }
 
 WalManager::LogSet* WalManager::AcquireSet(size_t* index) {
@@ -240,7 +230,7 @@ WalManager::LogSet* WalManager::AcquireSet(size_t* index) {
   return chosen;
 }
 
-Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
+WalManager::LogSet* WalManager::Insert(uint64_t txn_id, uint64_t bytes,
                                        const std::vector<log::RedoOp>* ops,
                                        uint64_t* out_lsn) {
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
@@ -256,27 +246,31 @@ Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
                      chosen->disk.queue_length());
   }
   if (ops != nullptr) {
-    // XLogInsert: frame the record into the set's image before the flush
-    // decision — a degraded commit's record is still "in the WAL buffer"
-    // and becomes durable with the set's next successful barrier. The LSN
-    // is assigned under the set's WALWriteLock, so each set's image stays
-    // in increasing LSN order (globally gappy; recovery merges by LSN).
+    // Frame the record into the set's image before the flush decision — a
+    // degraded commit's record is still "in the WAL buffer" and becomes
+    // durable with the set's next successful barrier. The LSN is assigned
+    // under the set's WALWriteLock, so each set's image stays in increasing
+    // LSN order (globally gappy; recovery merges by LSN).
     const uint64_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
     log::AppendLogFrame(lsn, txn_id, *ops, &chosen->image);
     if (out_lsn != nullptr) *out_lsn = lsn;
     TDP_CRASH_POINT("wal.append");
   }
+  return chosen;
+}
+
+Status WalManager::FlushAndRelease(LogSet* set, uint64_t bytes) {
   if (config_.degrade_on_stall &&
-      chosen->disk.StallRemainingNanos() > config_.io_retry.stall_deadline_ns) {
+      set->disk.StallRemainingNanos() > config_.io_retry.stall_deadline_ns) {
     // The device is frozen past the deadline: skip the synchronous flush
     // rather than freezing the committer with it.
-    chosen->mu.unlock();
+    set->mu.unlock();
     stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.degraded_commits);
     return Status::Busy("wal device stalled; synchronous flush skipped");
   }
-  const Status s = WriteAndFlush(chosen, bytes);
-  chosen->mu.unlock();
+  const Status s = WriteAndFlush(set, bytes);
+  set->mu.unlock();
   if (!s.ok()) {
     stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.degraded_commits);
@@ -284,54 +278,31 @@ Status WalManager::CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
   return s;
 }
 
-Status WalManager::CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
-                                    const std::vector<log::RedoOp>& ops,
-                                    CommitAckFn ack, uint64_t* out_lsn) {
+void WalManager::CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
+                                  const std::vector<log::RedoOp>& ops,
+                                  AckFn ack, uint64_t* out_lsn) {
+  const std::vector<log::RedoOp>* framed = ops.empty() ? nullptr : &ops;
   if (!config_.async_commit || !running_.load(std::memory_order_acquire)) {
     // No epoch thread to cover us: synchronous commit, ack inline. The
     // running_ re-check under the set lock below closes the Stop race; this
     // early check just spares the common stopped/disabled case the park.
-    Status s = ops.empty() ? CommitFlushInternal(txn_id, bytes, nullptr, out_lsn)
-                           : CommitFlushInternal(txn_id, bytes, &ops, out_lsn);
-    ack(s);
-    return Status::OK();
+    ack(FlushAndRelease(Insert(txn_id, bytes, framed, out_lsn), bytes));
+    return;
   }
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
+  // Only the frame goes in now: the epoch barrier does the device work.
+  LogSet* set = Insert(txn_id, bytes, framed, out_lsn);
   stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
-  metrics::Inc(m_.commits);
   metrics::Inc(m_.async_commits);
-  metrics::Inc(m_.commit_bytes, bytes);
-
-  size_t chosen_index = 0;
-  LogSet* chosen = AcquireSet(&chosen_index);
-  if (chosen_index < m_.queue_depth.size()) {
-    metrics::Observe(m_.queue_depth[chosen_index],
-                     chosen->disk.queue_length());
-  }
-  if (!ops.empty()) {
-    // XLogInsert only: the epoch barrier does the device work later.
-    const uint64_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    log::AppendLogFrame(lsn, txn_id, ops, &chosen->image);
-    if (out_lsn != nullptr) *out_lsn = lsn;
-    TDP_CRASH_POINT("wal.append");
-  }
   if (!running_.load(std::memory_order_relaxed)) {
-    // Stop() already drained this set's waiters; parking now would strand
-    // the ack. Flush synchronously instead (same path a stopped log takes).
-    const Status s = WriteAndFlush(chosen, bytes);
-    chosen->mu.unlock();
-    if (!s.ok()) {
-      stats_.degraded_commits.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.degraded_commits);
-    }
-    ack(s);
-    return Status::OK();
+    // Stop() already drained this set's parked acks; parking now would
+    // strand the ack. Flush synchronously instead (same path a stopped log
+    // takes).
+    ack(FlushAndRelease(set, bytes));
+    return;
   }
-  chosen->pending_bytes += bytes;
-  chosen->epoch_waiters.push_back(
-      LogSet::EpochWaiter{chosen->image.size(), std::move(ack)});
-  chosen->mu.unlock();
-  return Status::OK();
+  set->pending_bytes += bytes;
+  set->parked.Park(set->image.size(), std::move(ack));
+  set->mu.unlock();
 }
 
 std::vector<std::vector<uint8_t>> WalManager::CrashImages(

@@ -17,12 +17,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/durable_acks.h"
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "log/log_codec.h"
@@ -70,6 +70,8 @@ class WalManager {
   /// Stops the epoch thread *without* flushing pending epochs, then
   /// resolves every parked ack: OK iff an earlier barrier covered its
   /// frame, non-OK otherwise — an acked-OK-but-lost commit is impossible.
+  /// An epoch barrier that fails after a crash resolves its set's parked
+  /// acks the same way without waiting for Stop.
   void Stop();
 
   /// Flushes `bytes` of WAL for a committing transaction, per the mode.
@@ -87,19 +89,15 @@ class WalManager {
                      const std::vector<log::RedoOp>& ops,
                      uint64_t* out_lsn = nullptr);
 
-  /// Durability acknowledgement for CommitFlushAsync: fired exactly once,
-  /// OK iff the commit's frame is covered by a successful barrier.
-  using CommitAckFn = std::function<void(const Status&)>;
-
   /// Like CommitFlush(txn_id, ...) but returns as soon as the frame is in
   /// the chosen set's WAL buffer; the ack parks on that set's epoch and
-  /// fires once an epoch barrier covers it (config.async_commit,
-  /// docs/group_commit.md). Without a running epoch thread this degrades
-  /// to a synchronous flush with an inline ack. Pass empty `ops` for a
-  /// byte-only commit (no recoverable payload).
-  Status CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
-                          const std::vector<log::RedoOp>& ops,
-                          CommitAckFn ack, uint64_t* out_lsn = nullptr);
+  /// fires exactly once, OK iff an epoch barrier covers the frame
+  /// (config.async_commit, docs/group_commit.md). Without a running epoch
+  /// thread this degrades to a synchronous flush with an inline ack. Pass
+  /// empty `ops` for a byte-only commit (no recoverable payload).
+  void CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
+                        const std::vector<log::RedoOp>& ops, AckFn ack,
+                        uint64_t* out_lsn = nullptr);
 
   /// Barriers every log set until its whole image is durable (the
   /// write-ahead rule for checkpoints, docs/group_commit.md). Returns the
@@ -170,29 +168,32 @@ class WalManager {
     /// Async-commit payload bytes appended but not yet written; drained by
     /// the next epoch barrier on this set (guarded by mu).
     uint64_t pending_bytes = 0;
-    /// Acks parked on this set's epoch, in frame order (guarded by mu).
-    /// `offset` is the end of the commit's frame in `image`; the ack fires
-    /// OK once durable_bytes >= offset.
-    struct EpochWaiter {
-      size_t offset;
-      CommitAckFn ack;
-    };
-    std::vector<EpochWaiter> epoch_waiters;
+    /// Acks parked on this set's epoch (guarded by mu), keyed by the end
+    /// of the commit's frame in `image`: an ack fires OK once
+    /// durable_bytes reaches its mark.
+    ParkedAcks parked;
   };
 
   /// Writes the block-aligned payload and issues the barrier, with bounded
   /// retries per operation. The caller must hold `set`'s mutex.
   Status WriteAndFlush(LogSet* set, uint64_t bytes);
 
-  Status CommitFlushInternal(uint64_t txn_id, uint64_t bytes,
-                             const std::vector<log::RedoOp>* ops,
-                             uint64_t* out_lsn);
+  /// The append step (XLogInsert) every commit path shares: counts the
+  /// commit, takes a set and, when `ops` is non-null, frames `txn_id`'s
+  /// record into the set's image under its WALWriteLock. Returns the set
+  /// *locked*.
+  LogSet* Insert(uint64_t txn_id, uint64_t bytes,
+                 const std::vector<log::RedoOp>* ops, uint64_t* out_lsn);
+  /// Flushes `bytes` on a set Insert returned, per the degraded-mode rules,
+  /// then unlocks it.
+  Status FlushAndRelease(LogSet* set, uint64_t bytes);
   /// Takes a set per the Section 6.2 protocol (free set, else fewest
   /// waiters) and returns it *locked*; `index` gets its position.
   LogSet* AcquireSet(size_t* index);
   void EpochLoop();
   /// One epoch round on one set: write its pending payload, barrier, fire
-  /// covered acks. No-op when the set has no parked commits.
+  /// covered acks (and, if the barrier failed after a crash, the rest as
+  /// lost). No-op when the set has no parked commits.
   void DrainEpochSet(LogSet* set);
 
   WalConfig config_;

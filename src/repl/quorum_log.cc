@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <functional>
 
-#include "common/ack_latch.h"
 #include "common/crash_point.h"
 #include "log/log_codec.h"
 
@@ -62,28 +61,15 @@ void QuorumLog::Stop() {
   }
   // Partition parked acks exactly like RedoLog::Stop: no flush, no ship —
   // only what a quorum already holds durable acks OK.
-  std::vector<CommitAckFn> covered, lost;
+  TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
-    const uint64_t q = quorum_lsn_.load(std::memory_order_relaxed);
-    auto it = waiters_.begin();
-    while (it != waiters_.end() && it->first <= q) {
-      covered.push_back(std::move(it->second.ack));
-      it = waiters_.erase(it);
-    }
-    for (auto& [lsn, w] : waiters_) lost.push_back(std::move(w.ack));
-    waiters_.clear();
-    metrics::GaugeAdd(m_.acks_waiting,
-                      -static_cast<int64_t>(covered.size() + lost.size()));
+    taken = parked_.Partition(quorum_lsn_.load(std::memory_order_relaxed),
+                              /*lose_rest=*/true);
+    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(taken.size()));
   }
-  for (CommitAckFn& ack : covered) ack(Status::OK());
-  stats_.acks_quorum.fetch_add(covered.size(), std::memory_order_relaxed);
-  metrics::Inc(m_.acks_quorum, covered.size());
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Aborted("replication stopped before quorum"));
-  }
-  stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-  metrics::Inc(m_.acks_lost, lost.size());
+  ResolveAcks(std::move(taken),
+              Status::Aborted("replication stopped before quorum"));
 }
 
 int QuorumLog::AliveCopiesLocked() const {
@@ -97,8 +83,7 @@ int QuorumLog::AliveCopiesLocked() const {
   return alive;
 }
 
-void QuorumLog::AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
-                                    std::vector<CommitAckFn>* lost) {
+TakenAcks QuorumLog::AdvanceQuorumLocked() {
   std::vector<uint64_t> durables;
   durables.reserve(replicas_.size() + 1);
   durables.push_back(leader_durable_lsn_.load(std::memory_order_relaxed));
@@ -110,28 +95,23 @@ void QuorumLog::AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
   if (q > quorum_lsn_.load(std::memory_order_relaxed)) {
     quorum_lsn_.store(q, std::memory_order_release);
   }
-  const uint64_t quorum_lsn = quorum_lsn_.load(std::memory_order_relaxed);
-  size_t moved = 0;
-  auto it = waiters_.begin();
-  while (it != waiters_.end() && it->first <= quorum_lsn) {
-    fire->push_back(std::move(it->second.ack));
-    it = waiters_.erase(it);
-    ++moved;
-  }
   if (!quorum_lost_ && AliveCopiesLocked() < quorum_) quorum_lost_ = true;
-  if (quorum_lost_) {
-    for (auto& [lsn, w] : waiters_) {
-      lost->push_back(std::move(w.ack));
-      ++moved;
-    }
-    waiters_.clear();
-  }
-  metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(moved));
+  TakenAcks taken = parked_.Partition(
+      quorum_lsn_.load(std::memory_order_relaxed), quorum_lost_);
+  metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(taken.size()));
+  return taken;
 }
 
-void QuorumLog::FireAcks(std::vector<CommitAckFn> fire,
-                         std::vector<CommitAckFn> lost) {
-  if (!fire.empty()) {
+void QuorumLog::ResolveAcks(TakenAcks taken, const Status& lost_status) {
+  stats_.acks_quorum.fetch_add(taken.ok.size(), std::memory_order_relaxed);
+  metrics::Inc(m_.acks_quorum, taken.ok.size());
+  stats_.acks_lost.fetch_add(taken.lost.size(), std::memory_order_relaxed);
+  metrics::Inc(m_.acks_lost, taken.lost.size());
+  taken.Fire(lost_status);
+}
+
+void QuorumLog::FireAcks(TakenAcks taken) {
+  if (!taken.ok.empty()) {
     // The instant before the quorum acknowledgement reaches the client. A
     // crash here leaves quorum-durable frames whose acks were never
     // delivered — recovery must still keep them (unacked frames may
@@ -140,41 +120,31 @@ void QuorumLog::FireAcks(std::vector<CommitAckFn> fire,
     if (CrashPoints::Global().triggered()) {
       // The "process" died before delivering the acks: the client never
       // heard OK, so report these as undecided-lost, not acknowledged.
-      for (CommitAckFn& ack : fire) lost.push_back(std::move(ack));
-      fire.clear();
+      for (AckFn& ack : taken.ok) taken.lost.push_back(std::move(ack));
+      taken.ok.clear();
     }
   }
-  for (CommitAckFn& ack : fire) ack(Status::OK());
-  if (!fire.empty()) {
-    stats_.acks_quorum.fetch_add(fire.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_quorum, fire.size());
-  }
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Unavailable("quorum unreachable; retry"));
-  }
-  if (!lost.empty()) {
-    stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_lost, lost.size());
-  }
+  ResolveAcks(std::move(taken),
+              Status::Unavailable("quorum unreachable; retry"));
 }
 
 void QuorumLog::OnLeaderAdvance() {
-  std::vector<CommitAckFn> fire, lost;
+  TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
     const uint64_t d = config_.leader->durable_lsn();
     if (d > leader_durable_lsn_.load(std::memory_order_relaxed)) {
       leader_durable_lsn_.store(d, std::memory_order_release);
     }
-    AdvanceQuorumLocked(&fire, &lost);
+    taken = AdvanceQuorumLocked();
   }
   ship_cv_.notify_all();
-  FireAcks(std::move(fire), std::move(lost));
+  FireAcks(std::move(taken));
 }
 
 uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
                                 std::vector<log::RedoOp> ops,
-                                CommitAckFn ack) {
+                                AckFn ack) {
   stats_.commits_submitted.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits_submitted);
   // The leader's log is still the one appender: same LSNs, same framing,
@@ -185,23 +155,17 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
       txn_id, bytes, std::move(ops), [this](const Status&) {
         OnLeaderAdvance();
       });
-  std::vector<CommitAckFn> fire, lost;
+  TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
-    if (lsn <= quorum_lsn_.load(std::memory_order_relaxed)) {
-      // The quorum already covers us (the internal ack can fire before
-      // CommitAsync returns on the synchronous fallback path).
-      fire.push_back(std::move(ack));
-    } else {
-      waiters_.emplace(lsn, Waiter{std::move(ack)});
-      metrics::GaugeAdd(m_.acks_waiting, 1);
-      // Re-check immediately: the quorum may have advanced past `lsn`
-      // between the leader append and the park, and a latched quorum loss
-      // must bounce new commits instead of stranding them.
-      AdvanceQuorumLocked(&fire, &lost);
-    }
+    parked_.Park(lsn, std::move(ack));
+    metrics::GaugeAdd(m_.acks_waiting, 1);
+    // Advance right after the park: the quorum may already cover `lsn` (the
+    // internal ack can fire before the leader's CommitAsync returns), and a
+    // latched quorum loss must bounce new commits instead of stranding them.
+    taken = AdvanceQuorumLocked();
   }
-  FireAcks(std::move(fire), std::move(lost));
+  FireAcks(std::move(taken));
   return lsn;
 }
 
@@ -235,11 +199,10 @@ void QuorumLog::ShipperLoop(size_t idx) {
       // Nothing to ship (idle, fully caught up, or dark replica). Re-check
       // liveness so a lost quorum resolves parked acks promptly, then nap
       // until the leader advances or the retry interval elapses.
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
-      if (!fire.empty() || !lost.empty()) {
+      TakenAcks taken = AdvanceQuorumLocked();
+      if (taken.size() > 0) {
         lk.unlock();
-        FireAcks(std::move(fire), std::move(lost));
+        FireAcks(std::move(taken));
         lk.lock();
         continue;
       }
@@ -266,21 +229,19 @@ void QuorumLog::ShipperLoop(size_t idx) {
     }
     if (s.ok()) {
       ship_offsets_[idx] = from + chunk.size();
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
+      TakenAcks taken = AdvanceQuorumLocked();
       lk.unlock();
-      FireAcks(std::move(fire), std::move(lost));
+      FireAcks(std::move(taken));
       lk.lock();
     } else {
       // Failed ship (dark replica, torn replica flush): the replica kept
       // its watermark, so re-anchor there and retry after a pause instead
       // of hammering a dead device.
       ship_offsets_[idx] = replica.durable_bytes();
-      std::vector<CommitAckFn> fire, lost;
-      AdvanceQuorumLocked(&fire, &lost);
-      if (!fire.empty() || !lost.empty()) {
+      TakenAcks taken = AdvanceQuorumLocked();
+      if (taken.size() > 0) {
         lk.unlock();
-        FireAcks(std::move(fire), std::move(lost));
+        FireAcks(std::move(taken));
         lk.lock();
       }
       ship_cv_.wait_for(
@@ -290,7 +251,7 @@ void QuorumLog::ShipperLoop(size_t idx) {
 }
 
 uint64_t QuorumLog::Failover() {
-  std::vector<CommitAckFn> lost;
+  TakenAcks taken;
   uint64_t new_term;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -306,25 +267,14 @@ uint64_t QuorumLog::Failover() {
     // Commits beyond the quorum LSN are undecided across the election —
     // bounce them as Unavailable so clients ride through on retry
     // (RetryPolicy.retry_unavailable) rather than waiting out the window.
-    auto it = waiters_.begin();
-    size_t moved = 0;
-    while (it != waiters_.end()) {
-      lost.push_back(std::move(it->second.ack));
-      it = waiters_.erase(it);
-      ++moved;
-    }
-    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(moved));
+    taken.lost = parked_.TakeAll();
+    metrics::GaugeAdd(m_.acks_waiting, -static_cast<int64_t>(taken.size()));
     // A new term restores service if a quorum of copies is back.
     if (quorum_lost_ && AliveCopiesLocked() >= quorum_) quorum_lost_ = false;
   }
   ship_cv_.notify_all();
-  for (CommitAckFn& ack : lost) {
-    ack(Status::Unavailable("leader failover in progress; retry"));
-  }
-  if (!lost.empty()) {
-    stats_.acks_lost.fetch_add(lost.size(), std::memory_order_relaxed);
-    metrics::Inc(m_.acks_lost, lost.size());
-  }
+  ResolveAcks(std::move(taken),
+              Status::Unavailable("leader failover in progress; retry"));
   return new_term;
 }
 
@@ -339,29 +289,29 @@ Status QuorumLog::CatchUpReplicas() {
     const Status s = r->CatchUp(term, image, durable_lsn);
     if (!s.ok() && first.ok()) first = s;
   }
-  std::vector<CommitAckFn> fire, lost;
+  TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
     for (size_t i = 0; i < replicas_.size(); ++i) {
       ship_offsets_[i] = std::max(ship_offsets_[i],
                                   replicas_[i]->durable_bytes());
     }
-    AdvanceQuorumLocked(&fire, &lost);
+    taken = AdvanceQuorumLocked();
   }
-  FireAcks(std::move(fire), std::move(lost));
+  FireAcks(std::move(taken));
   return first;
 }
 
 void QuorumLog::KillReplica(int i) {
   if (i < 1 || static_cast<size_t>(i) > replicas_.size()) return;
   replicas_[static_cast<size_t>(i) - 1]->Kill();
-  std::vector<CommitAckFn> fire, lost;
+  TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
-    AdvanceQuorumLocked(&fire, &lost);  // detect a lost quorum promptly
+    taken = AdvanceQuorumLocked();  // detect a lost quorum promptly
   }
   ship_cv_.notify_all();
-  FireAcks(std::move(fire), std::move(lost));
+  FireAcks(std::move(taken));
 }
 
 void QuorumLog::ReviveReplica(int i) {

@@ -31,14 +31,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/durable_acks.h"
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/status.h"
@@ -73,8 +72,6 @@ struct QuorumLogConfig {
 
 class QuorumLog {
  public:
-  using CommitAckFn = log::RedoLog::CommitAckFn;
-
   explicit QuorumLog(QuorumLogConfig config);
   ~QuorumLog();
 
@@ -97,7 +94,7 @@ class QuorumLog {
   /// quorum already covers the frame; non-OK when the log stops or the
   /// quorum becomes unreachable first.
   uint64_t CommitAsync(uint64_t txn_id, uint64_t bytes,
-                       std::vector<log::RedoOp> ops, CommitAckFn ack);
+                       std::vector<log::RedoOp> ops, AckFn ack);
 
   /// Synchronous commit: CommitAsync + wait for the ack. Returns the LSN;
   /// `durable` (optional) receives the ack's status — non-OK means the
@@ -148,21 +145,19 @@ class QuorumLog {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Waiter {
-    CommitAckFn ack;
-  };
-
   void ShipperLoop(size_t idx);
   /// Called on every leader durability signal (epoch/inline commit acks).
   void OnLeaderAdvance();
-  /// Recomputes the quorum LSN from all K durable watermarks and moves the
-  /// covered waiters into `fire`. Resolves everything as lost when fewer
-  /// than `quorum_` copies are still serving. Caller holds mu_.
-  void AdvanceQuorumLocked(std::vector<CommitAckFn>* fire,
-                           std::vector<CommitAckFn>* lost);
-  /// Fires the two lists outside mu_ (OK / Unavailable), with the
+  /// Recomputes the quorum LSN from all K durable watermarks and takes the
+  /// covered acks. Takes everything else as lost when fewer than `quorum_`
+  /// copies are still serving. Caller holds mu_.
+  TakenAcks AdvanceQuorumLocked();
+  /// Fires taken acks outside mu_ (OK / Unavailable), with the
   /// repl.pre_ack crash point ahead of the OK batch.
-  void FireAcks(std::vector<CommitAckFn> fire, std::vector<CommitAckFn> lost);
+  void FireAcks(TakenAcks taken);
+  /// Counts taken acks into repl.acks_quorum / repl.acks_lost, then fires
+  /// them (OK / `lost_status`) outside mu_.
+  void ResolveAcks(TakenAcks taken, const Status& lost_status);
   int AliveCopiesLocked() const;
 
   QuorumLogConfig config_;
@@ -170,7 +165,9 @@ class QuorumLog {
   std::vector<std::unique_ptr<Replica>> replicas_;
 
   mutable std::mutex mu_;
-  std::map<uint64_t, Waiter> waiters_;  ///< Parked acks by LSN.
+  /// Parked acks by LSN. Parks can arrive out of LSN order: the leader
+  /// assigns the LSN under its own mutex, before ours.
+  ParkedAcks parked_;
   std::atomic<uint64_t> term_{1};
   std::atomic<uint64_t> quorum_lsn_{0};
   std::atomic<uint64_t> leader_durable_lsn_{0};

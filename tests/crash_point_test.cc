@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "common/fault.h"
 #include "common/sim_disk.h"
 #include "engine/mysqlmini.h"
 #include "log/redo_log.h"
+#include "pg/wal.h"
 
 namespace tdp {
 namespace {
@@ -333,6 +336,83 @@ TEST_F(CrashPointTest, EpochCrashPreservesExactlyTheAckedPrefix) {
   ASSERT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered[0].lsn, 1u);
   EXPECT_EQ(recovered[1].lsn, 2u);
+}
+
+// A crash at epoch.pre_flush leaves the log device dark until reboot, so no
+// later epoch can cover the parked tail. The epoch round that tripped the
+// crash must resolve every parked ack as lost itself — without waiting for
+// Stop — or a committer blocked on its ack (a 2PC coordinator collecting
+// prepare votes) hangs until someone stops the log. RedoLog and WalManager
+// share this drain rule (docs/group_commit.md), so one body runs for both.
+void ExpectEpochCrashResolvesParkedAcksWithoutStop(
+    const std::function<void(uint64_t txn_id, AckFn ack)>& commit_async) {
+  CrashPoints::Global().Arm("epoch.pre_flush", 1);
+  constexpr int kCommits = 4;
+  // Shared, not on this stack: a stranded ack fires later, at the log's Stop.
+  struct Tally {
+    std::atomic<int> fired{0}, ok{0};
+  };
+  auto tally = std::make_shared<Tally>();
+  for (int i = 0; i < kCommits; ++i) {
+    commit_async(static_cast<uint64_t>(i + 1), [tally](const Status& s) {
+      tally->fired.fetch_add(1);
+      if (s.ok()) tally->ok.fetch_add(1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tally->fired.load() < kCommits &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(CrashPoints::Global().triggered());
+  EXPECT_EQ(tally->fired.load(), kCommits) << "parked acks stranded until Stop";
+  EXPECT_EQ(tally->ok.load(), 0);
+}
+
+SimDiskConfig EpochCrashDisk() {
+  SimDiskConfig cfg;
+  cfg.base_latency_ns = 1000;
+  cfg.sigma = 0;
+  cfg.flush_barrier_ns = 0;
+  return cfg;
+}
+
+TEST_F(CrashPointTest, RedoEpochCrashResolvesParkedAcksWithoutStop) {
+  SimDisk disk(EpochCrashDisk());
+  log::RedoLogConfig cfg;
+  cfg.disk = &disk;
+  cfg.async_commit = true;
+  cfg.epoch_interval_ns = MillisToNanos(2);
+  cfg.io_retry.backoff_ns = 1000;
+  log::RedoLog redo(cfg);
+  redo.Start();
+  ExpectEpochCrashResolvesParkedAcksWithoutStop(
+      [&](uint64_t txn_id, AckFn ack) {
+        redo.CommitAsync(txn_id, 256, {}, std::move(ack));
+      });
+  EXPECT_EQ(redo.durable_lsn(), 0u);
+}
+
+TEST_F(CrashPointTest, WalEpochCrashResolvesParkedAcksWithoutStop) {
+  pg::WalConfig cfg;
+  cfg.block_bytes = 512;
+  cfg.disk = EpochCrashDisk();
+  cfg.async_commit = true;
+  cfg.epoch_interval_ns = MillisToNanos(2);
+  cfg.io_retry.backoff_ns = 1000;
+  pg::WalManager wal(cfg);
+  wal.Start();
+  ExpectEpochCrashResolvesParkedAcksWithoutStop(
+      [&](uint64_t txn_id, AckFn ack) {
+        wal.CommitFlushAsync(
+            txn_id, 256,
+            {log::RedoOp{log::RedoOp::Kind::kPut, 1, txn_id, storage::Row{1}}},
+            std::move(ack));
+      });
+  std::vector<log::RecoveredTxn> out;
+  pg::WalManager::RecoverCommitted(wal.CrashImages(), &out);
+  EXPECT_TRUE(out.empty());  // nothing acked OK, nothing recovered
 }
 
 }  // namespace

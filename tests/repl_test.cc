@@ -70,7 +70,7 @@ struct AckLog {
   std::vector<Status> acks;
   std::atomic<int> fired{0};
 
-  log::RedoLog::CommitAckFn Make() {
+  AckFn Make() {
     return [this](const Status& s) {
       {
         std::lock_guard<std::mutex> g(mu);

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/ack_latch.h"
+#include "common/durable_acks.h"
 #include "common/clock.h"
 #include "engine/mysqlmini.h"
 #include "engine/recovery.h"

@@ -35,6 +35,7 @@ TESTS=(
   fault_injection_test
   sharded_hash_table_test
   group_commit_test
+  durable_acks_test
   cats_weight_property_test
   conflict_predictor_test
   conflict_sched_property_test
