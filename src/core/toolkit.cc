@@ -122,11 +122,10 @@ workload::DriverConfig Toolkit::DriverDefault() {
 }
 
 RunOutcome LoadAndRun(engine::Database* db, workload::Workload* wl,
-                      const workload::DriverConfig& config,
-                      const workload::TxnEventHook& hook) {
+                      const workload::DriverConfig& config) {
   wl->Load(db);
   RunOutcome out;
-  out.run = RunConstantRate(db, wl, config, hook);
+  out.run = RunConstantRate(db, wl, config);
   out.metrics = Metrics::From(out.run);
   return out;
 }

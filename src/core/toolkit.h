@@ -48,7 +48,6 @@ struct RunOutcome {
   Metrics metrics;
 };
 RunOutcome LoadAndRun(engine::Database* db, workload::Workload* wl,
-                      const workload::DriverConfig& config,
-                      const workload::TxnEventHook& hook = nullptr);
+                      const workload::DriverConfig& config);
 
 }  // namespace tdp::core

@@ -172,7 +172,7 @@ RunResult RunConstantRate(engine::Database* db, Workload* wl,
 }
 
 RunResult RunService(server::TransactionService* service, Workload* wl,
-                     const DriverConfig& config, const TxnEventHook& hook) {
+                     const DriverConfig& config) {
   RunResult result;
   result.offered_tps = config.tps;
 
@@ -206,14 +206,6 @@ RunResult RunService(server::TransactionService* service, Workload* wl,
             if (i >= warmup) {
               result.latencies.push_back(latency);
               result.by_type[type].push_back(latency);
-              if (hook) {
-                TxnEvent ev;
-                ev.type = type;
-                ev.dispatch_ns = intended;
-                ev.commit_ns = r.done_ns;
-                ev.latency_ns = latency;
-                hook(ev);
-              }
             }
           } else {
             if (r.status.IsDeadlock()) ++deadlocks;

@@ -87,7 +87,6 @@ RunResult RunConstantRate(engine::Database* db, Workload* wl,
 /// and `config.max_retries` are ignored (the service's workers / retry
 /// policy govern).
 RunResult RunService(server::TransactionService* service, Workload* wl,
-                     const DriverConfig& config,
-                     const TxnEventHook& hook = nullptr);
+                     const DriverConfig& config);
 
 }  // namespace tdp::workload

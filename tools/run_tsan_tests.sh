@@ -47,7 +47,7 @@ TESTS=(
 
 cmake -B "$BUILD_DIR" -S . -DTDP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}" tdp_crashtest
 
 # second_deadlock_stack costs little and makes lock-order reports readable.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
@@ -56,6 +56,15 @@ fail=0
 for t in "${TESTS[@]}"; do
   echo "==== TSan: $t ===="
   if ! "$BUILD_DIR/tests/$t"; then
+    fail=1
+  fi
+done
+
+# A short sweep of every crash-fuzzer mode: its async ack records are
+# written from epoch and shipper threads and read by the workload thread.
+for mode in recovery replica-kill coordinator-crash; do
+  echo "==== TSan: tdp_crashtest --mode=$mode ===="
+  if ! "$BUILD_DIR/tools/tdp_crashtest" --mode="$mode" --seed-count=30; then
     fail=1
   fi
 done

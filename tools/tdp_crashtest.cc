@@ -1,42 +1,34 @@
-// tdp_crashtest: deterministic crash-point fuzzer for the recovery stack
-// (docs/recovery.md).
+// tdp_crashtest: deterministic crash fuzzer for the recovery, replication
+// and cross-shard 2PC stacks (docs/recovery.md).
 //
-// Each seed runs one crash-recovery experiment end to end:
+// One harness runs every seed through the same four stages:
 //
-//   1. Build a fresh engine (mysqlmini or pgmini; pgmini alternates between
-//      one and two WAL disks) with logical redo enabled, plus a shadow-model
-//      oracle of the same schema.
-//   2. Schedule a crash: arm a named crash point on its Nth hit, or arm a
-//      FaultInjector kCrash window on the log device (some seeds run clean
-//      to cover the no-crash path).
-//   3. Run a single-threaded workload of small insert/update/delete
-//      transactions, checkpointing every few transactions on half the
-//      seeds. The oracle records every transaction whose commit call
-//      returned without rolling back, and marks as *acked* those whose
-//      Commit() returned OK before the crash flag tripped.
-//   4. "Reboot": take the durable log image(s) — optionally with a torn
-//      tail of unflushed bytes, optionally with one flipped bit
-//      (corruption) — decode, restore the newest decodable checkpoint
-//      (optionally tearing the newest to exercise the two-slot fallback),
-//      and replay into a fresh engine.
-//   5. Verify against the oracle:
-//        * the recovered state equals the oracle's state after some prefix
-//          of the committed transactions (never a non-prefix, never
-//          garbage),
-//        * the prefix covers every acked transaction (durability), except
-//          on corruption seeds where durable bytes were deliberately
-//          destroyed,
-//        * corruption is always detected (DataLoss or a torn-tail stop —
-//          never a clean decode of a flipped image),
-//        * when a checkpoint was used, checkpoint+suffix recovery equals
-//          full-log replay.
+//   1. Plan: every decision derives from the seed's Rng (a Make*Plan per
+//      mode), including the crash point or failure arm.
+//   2. Workload: a single-threaded run of small insert/update/delete
+//      transactions drawn against a shadow model of the schema, with a
+//      checkpoint every few commits on some seeds. The mode's commit-outcome
+//      contract maps each commit's status to acked, committed-unacked,
+//      undecided or dropped. An async commit counts as acked only once its
+//      ack fires OK, and every ack must fire exactly once.
+//   3. Reboot: cut the durable log image(s), optionally with a torn tail,
+//      and replay them into a fresh engine.
+//   4. Oracle: the recovered state equals the shadow after some prefix of
+//      the ledger (never a mixture, never garbage), and that prefix covers
+//      every acked transaction. Then the mode's own checks run.
+//
+// A mode (recovery, replica-kill, coordinator-crash; each described in its
+// section below) supplies only what differs: its plan, engine build and
+// failure arms, its contract, its image cut and replay, and its own checks.
 //
 // Every decision derives from the seed, so a failing seed replays exactly:
-//   tdp_crashtest --start_seed=<seed> --seeds=1 --verbose
+//   tdp_crashtest --mode=<mode> --seed-start=<seed> --seed-count=1 --verbose
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,9 +68,19 @@ struct OracleOp {
   int64_t delta = 0;           // valid for updates (col 0 increment)
 };
 
+// An async commit's ack, fired by an epoch or shipper thread. Like a guard
+// that must be released exactly once before it is destroyed, it counts its
+// fires: once the log stops, anything but one fire fails the seed.
+struct AckRecord {
+  std::mutex mu;
+  int fires = 0;
+  bool ok = false;
+};
+
 struct OracleTxn {
   std::vector<OracleOp> ops;
-  bool acked = false;  ///< Commit() returned OK before the crash tripped.
+  bool acked = false;  ///< The client was told this commit is durable.
+  std::shared_ptr<AckRecord> ack;  ///< Async commits only.
 };
 
 void ApplyTxn(const OracleTxn& txn, DbState* state) {
@@ -188,6 +190,332 @@ std::string DescribeDiff(const DbState& got, const DbState& want) {
   return "equal";
 }
 
+struct SeedResult {
+  bool ok = true;
+  std::string error;
+  bool crashed = false;
+  uint64_t committed = 0;
+  uint64_t acked = 0;
+  uint64_t recovered_prefix = 0;
+};
+
+SeedResult Failed(SeedResult result, std::string error) {
+  result.ok = false;
+  result.error = std::move(error);
+  return result;
+}
+
+std::string CrashSuffix(const std::string& crashed_by) {
+  return crashed_by.empty() ? "" : " (crash via " + crashed_by + ")";
+}
+
+// ---------------------------------------------------------------------------
+// The shared harness.
+
+SimDiskConfig QuickDisk(uint64_t seed) {
+  SimDiskConfig disk;
+  disk.base_latency_ns = 1000;
+  disk.sigma = 0.0;
+  disk.flush_barrier_ns = 2000;
+  disk.seed = seed + 7;
+  return disk;
+}
+
+// The mysqlmini under test: logical redo, no simulated row work, eager
+// flushes, quick disks.
+engine::MySQLMiniConfig LiveMysqlConfig(uint64_t seed, bool async) {
+  engine::MySQLMiniConfig cfg;
+  cfg.logical_redo = true;
+  cfg.row_work_ns = 0;
+  cfg.flush_policy = log::FlushPolicy::kEagerFlush;
+  cfg.log_async_commit = async;
+  cfg.data_disk = QuickDisk(seed);
+  cfg.log_disk = cfg.data_disk;
+  cfg.seed = seed + 1;
+  return cfg;
+}
+
+// Draws the next transaction against `scratch`, a copy of the shadow, so the
+// oracle's after-images match what the engine computes.
+OracleTxn NextTxn(uint64_t seed, DbState* scratch, Rng* rng) {
+  OracleTxn txn;
+  const int nops = 1 + static_cast<int>(rng->Uniform(3));
+  for (int o = 0; o < nops; ++o) {
+    OracleOp op;
+    op.table = static_cast<uint32_t>(rng->Uniform(kTables));
+    op.key = rng->Uniform(kKeySpace);
+    TableState& ts = (*scratch)[op.table];
+    auto it = ts.find(op.key);
+    if (it == ts.end()) {
+      op.kind = OracleOp::Kind::kInsert;
+      op.after = {static_cast<int64_t>(op.key * 3 + 1),
+                  static_cast<int64_t>(seed & 0xFF)};
+      ts[op.key] = op.after;
+    } else if (rng->Bernoulli(0.2)) {
+      op.kind = OracleOp::Kind::kDelete;
+      ts.erase(it);
+    } else {
+      // Delta update of col 0; the after-image the engine will log is the
+      // scratch row after the increment (engine and shadow rows agree by
+      // induction: every committed mutation is mirrored).
+      op.kind = OracleOp::Kind::kUpdate;
+      op.delta = static_cast<int64_t>(1 + rng->Uniform(9));
+      op.after = it->second;
+      op.after[0] += op.delta;
+      it->second = op.after;
+    }
+    txn.ops.push_back(std::move(op));
+  }
+  return txn;
+}
+
+// Begins `txn` and runs its ops. A failure rolls it back before commit: no
+// redo was logged, so recovery must never see it.
+Status ExecuteOps(engine::Connection* conn, const OracleTxn& txn) {
+  Status s = conn->Begin();
+  for (size_t i = 0; s.ok() && i < txn.ops.size(); ++i) {
+    const OracleOp& op = txn.ops[i];
+    switch (op.kind) {
+      case OracleOp::Kind::kDelete:
+        s = conn->Delete(op.table, op.key);
+        break;
+      case OracleOp::Kind::kUpdate:
+        s = conn->Update(op.table, op.key, 0, op.delta);
+        break;
+      case OracleOp::Kind::kInsert: {
+        storage::Row row;
+        row.cols = op.after;
+        s = conn->Insert(op.table, op.key, row);
+        break;
+      }
+    }
+  }
+  if (!s.ok()) conn->Rollback();
+  return s;
+}
+
+// What a commit's status tells the client, under a mode's written contract.
+enum class Outcome {
+  kAcked,      ///< Told durable: recovery must keep it.
+  kUnacked,    ///< Committed in stream order, not (yet) acked: recovery may
+               ///< cut the prefix before it. An async commit's ack decides.
+  kUndecided,  ///< The ambiguous tail: recovery may surface it in full or
+               ///< not at all. Not counted as committed.
+  kDropped,    ///< Rolled back: it belongs to no acceptable state.
+  kViolation,  ///< A failure the contract does not allow: fails the seed.
+};
+
+// Every transaction the oracle may see recovered, in commit order.
+struct Ledger {
+  std::vector<OracleTxn> txns;  ///< Acked, unacked and undecided.
+  uint64_t committed = 0;       ///< Acked + unacked.
+  uint64_t undecided = 0;
+  uint64_t acked = 0;  ///< Final once ResolveAcks has run.
+  std::string crashed_by;  ///< The crash that ended the workload, if any.
+};
+
+// What a mode plugs into the workload loop.
+struct WorkloadHooks {
+  bool async = false;  ///< Commit through CommitAsync with an AckRecord.
+  /// The mode's contract, bound to its plan. Sees every commit attempt.
+  std::function<Outcome(const OracleTxn&, const Status&, bool crashed_now)>
+      outcome;
+  /// Failure arms, run after each commit the loop survives. May be empty.
+  std::function<void(uint64_t committed)> after_commit;
+  uint64_t checkpoint_every = 0;  ///< 0 = no checkpoints.
+  std::function<void()> checkpoint;
+};
+
+// Runs the workload and records the ledger. An op or commit that fails
+// while no crash has fired breaks the contract and fails the seed.
+Ledger RunWorkload(uint64_t seed, engine::Connection* conn,
+                   const WorkloadHooks& hooks, Rng* rng, SeedResult* result) {
+  Ledger ledger;
+  DbState shadow = PreloadState();
+  for (int i = 0; i < kMaxTxns; ++i) {
+    if (CrashPoints::Global().triggered()) break;
+    DbState scratch = shadow;
+    OracleTxn txn = NextTxn(seed, &scratch, rng);
+    const Status os = ExecuteOps(conn, txn);
+    if (!os.ok()) {
+      if (!CrashPoints::Global().triggered()) {
+        *result = Failed(*result, "op failed with no crash: " + os.ToString());
+      }
+      break;
+    }
+    std::shared_ptr<AckRecord> ack;
+    Status cs;
+    if (hooks.async) {
+      ack = std::make_shared<AckRecord>();
+      cs = conn->CommitAsync([ack](const Status& s) {
+        std::lock_guard<std::mutex> g(ack->mu);
+        ++ack->fires;
+        ack->ok = s.ok();
+      });
+    } else {
+      cs = conn->Commit();
+    }
+    const bool crashed_now = CrashPoints::Global().triggered();
+    const Outcome outcome = hooks.outcome(txn, cs, crashed_now);
+    if (outcome == Outcome::kViolation) {
+      *result = Failed(*result, "commit failed with no crash: " + cs.ToString());
+      break;
+    }
+    if (outcome != Outcome::kDropped) {
+      // The engine's state now includes this transaction (commit did not
+      // roll back), whether or not it is durable.
+      txn.acked = outcome == Outcome::kAcked;
+      if (cs.ok()) txn.ack = std::move(ack);
+      ledger.txns.push_back(std::move(txn));
+      ++(outcome == Outcome::kUndecided ? ledger.undecided : ledger.committed);
+      shadow = std::move(scratch);
+    }
+    if (CrashPoints::Global().triggered()) break;
+    if (hooks.after_commit) hooks.after_commit(ledger.committed);
+    if (hooks.checkpoint_every > 0 && ledger.committed > 0 &&
+        ledger.committed % hooks.checkpoint_every == 0) {
+      hooks.checkpoint();
+    }
+  }
+  result->crashed = CrashPoints::Global().triggered();
+  result->committed = ledger.committed;
+  ledger.crashed_by = CrashPoints::Global().triggered_by();
+  return ledger;
+}
+
+// Call once the log is stopped: an async txn is acked iff its ack fired OK,
+// i.e. the client was told it survived. Fails the seed unless every ack
+// fired exactly once.
+bool ResolveAcks(Ledger* ledger, SeedResult* result) {
+  for (OracleTxn& txn : ledger->txns) {
+    if (txn.ack != nullptr) {
+      std::lock_guard<std::mutex> g(txn.ack->mu);
+      if (txn.ack->fires != 1) {
+        *result = Failed(*result, "async ack fired " +
+                                      std::to_string(txn.ack->fires) +
+                                      " times after log stop (want once)");
+        return false;
+      }
+      txn.acked = txn.ack->ok;
+    }
+    if (txn.acked) ++ledger->acked;
+  }
+  result->acked = ledger->acked;
+  return true;
+}
+
+bool AllAcksFired(const Ledger& ledger) {
+  for (const OracleTxn& txn : ledger.txns) {
+    if (txn.ack == nullptr) continue;
+    std::lock_guard<std::mutex> g(txn.ack->mu);
+    if (txn.ack->fires == 0) return false;
+  }
+  return true;
+}
+
+// One checkpoint store and how many snapshots it accepted.
+struct CheckpointSlot {
+  engine::CheckpointStore store;
+  uint64_t saves = 0;
+
+  // TakeCheckpoint enforces the write-ahead rule (forces the log durable
+  // through every assigned LSN). A refusal — the force tripped the crash or
+  // stalled — aborts this checkpoint, like a real system; the store keeps
+  // the previous snapshot.
+  void Save(const Result<engine::Checkpoint>& ckpt) {
+    if (!ckpt.ok()) return;
+    store.Save(engine::EncodeCheckpoint(ckpt.value()));
+    ++saves;
+  }
+};
+
+// The shared oracle: `recovered` equals the shadow after some prefix of the
+// ledger — never a mixture, never garbage, never a double-applied delta —
+// and (when `check_durability`) that prefix covers every acked transaction.
+// Sets *prefix to the longest matching prefix; returns the failure, or "".
+std::string CheckPrefix(const DbState& recovered, const Ledger& ledger,
+                        bool check_durability,
+                        std::optional<uint64_t>* prefix) {
+  DbState prefix_state = PreloadState();
+  if (recovered == prefix_state) *prefix = 0;
+  for (size_t k = 0; k < ledger.txns.size(); ++k) {
+    ApplyTxn(ledger.txns[k], &prefix_state);
+    if (recovered == prefix_state) *prefix = k + 1;
+  }
+  if (!prefix->has_value()) {
+    return "recovered state matches no committed prefix (" +
+           DescribeDiff(recovered, prefix_state) + " vs full state)" +
+           CrashSuffix(ledger.crashed_by);
+  }
+  for (size_t k = **prefix; check_durability && k < ledger.txns.size(); ++k) {
+    if (!ledger.txns[k].acked) continue;
+    return "acked transaction lost: recovered prefix " +
+           std::to_string(**prefix) + " misses acked txn " +
+           std::to_string(k + 1) + " (" + std::to_string(ledger.acked) +
+           " acked)" + CrashSuffix(ledger.crashed_by);
+  }
+  return "";
+}
+
+// Replays `recovered` (above the checkpoint's stamp, when there is one) into
+// a fresh mysqlmini or pgmini and returns its state.
+DbState Replay(bool use_pg, int pg_log_sets, uint64_t seed,
+               const std::vector<log::RecoveredTxn>& recovered,
+               const std::optional<engine::Checkpoint>& ckpt) {
+  std::unique_ptr<engine::Database> target;
+  storage::Catalog* catalog = nullptr;
+  if (use_pg) {
+    pg::PgMiniConfig cfg;
+    cfg.logical_redo = true;
+    cfg.row_work_ns = 0;
+    cfg.predicate_check_ns = 0;
+    cfg.wal.num_log_sets = pg_log_sets;
+    cfg.seed = seed + 2;
+    auto pgdb = std::make_unique<pg::PgMini>(cfg);
+    catalog = &pgdb->catalog();
+    target = std::move(pgdb);
+  } else {
+    engine::MySQLMiniConfig cfg;
+    cfg.logical_redo = true;
+    cfg.row_work_ns = 0;
+    cfg.seed = seed + 2;
+    auto mysql = std::make_unique<engine::MySQLMini>(cfg);
+    catalog = &mysql->catalog();
+    target = std::move(mysql);
+  }
+  SetupSchema(target.get());
+  if (ckpt.has_value()) engine::RestoreCheckpoint(*ckpt, catalog);
+  (use_pg ? pg::PgMini::RecoverInto : engine::MySQLMini::RecoverInto)(
+      recovered, target.get(), ckpt.has_value() ? ckpt->lsn : 0);
+  return ExtractState(*catalog);
+}
+
+// ---------------------------------------------------------------------------
+// --mode=recovery: one engine (mysqlmini, or pgmini on one or two WAL disks)
+// with logical redo, crashed by a named crash point on its Nth hit or by a
+// FaultInjector kCrash window on the log device (some seeds run clean).
+// Half the seeds checkpoint; 35% commit through epoch async group commit.
+//
+// At reboot the durable log image(s) are cut, optionally with a torn tail
+// of unflushed bytes and optionally with one flipped bit (corruption); the
+// newest decodable checkpoint is restored (optionally tearing the newest to
+// exercise the two-slot fallback) and the log replays on top. Checks beyond
+// the shared oracle:
+//   * corruption is always detected (DataLoss or a torn-tail stop — never a
+//     clean decode of a flipped image), and durability is waived on those
+//     seeds, where durable bytes were deliberately destroyed,
+//   * a two-disk pg image with a mid-stream hole must equal the salvage
+//     model instead of a prefix,
+//   * when a checkpoint was used, checkpoint+suffix recovery equals full-log
+//     replay.
+//
+// Contract (sync or async commit):
+//   OK before the crash   -> acked (sync), or unacked until its ack fires.
+//   OK after the crash    -> unacked: the flush that tripped it may not have
+//                            made the frame durable.
+//   failure after a crash -> dropped.
+//   failure with no crash -> violation.
+
 struct SeedPlan {
   bool use_pg = false;
   int pg_log_sets = 1;
@@ -254,6 +582,11 @@ SeedPlan MakePlan(uint64_t seed, const std::string& engine_filter, Rng* rng) {
   return plan;
 }
 
+Outcome RecoveryOutcome(const Status& s, bool crashed_now, bool async) {
+  if (!s.ok()) return crashed_now ? Outcome::kDropped : Outcome::kViolation;
+  return async || crashed_now ? Outcome::kUnacked : Outcome::kAcked;
+}
+
 /// Flips one bit somewhere in the image. Returns false when there is
 /// nothing to corrupt.
 bool FlipOneBit(std::vector<uint8_t>* image, Rng* rng) {
@@ -263,28 +596,14 @@ bool FlipOneBit(std::vector<uint8_t>* image, Rng* rng) {
   return true;
 }
 
-struct SeedResult {
-  bool ok = true;
-  std::string error;
-  bool crashed = false;
-  uint64_t committed = 0;
-  uint64_t acked = 0;
-  uint64_t recovered_prefix = 0;
-};
-
-SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
-                   bool verbose) {
+SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
+                           bool verbose) {
   SeedResult result;
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 0xC0FFEE);
   const SeedPlan plan = MakePlan(seed, engine_filter, &rng);
 
   CrashPoints::Global().Reset();
-
-  SimDiskConfig quick_disk;
-  quick_disk.base_latency_ns = 1000;
-  quick_disk.sigma = 0.0;
-  quick_disk.flush_barrier_ns = 2000;
-  quick_disk.seed = seed + 7;
+  const SimDiskConfig quick_disk = QuickDisk(seed);
 
   FaultInjector injector;
   if (plan.fault_crash) {
@@ -314,16 +633,10 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
     pgdb = std::make_unique<pg::PgMini>(cfg);
     db = pgdb.get();
   } else {
-    engine::MySQLMiniConfig cfg;
-    cfg.logical_redo = true;
-    cfg.row_work_ns = 0;
-    cfg.flush_policy = log::FlushPolicy::kEagerFlush;
+    engine::MySQLMiniConfig cfg = LiveMysqlConfig(seed, plan.async_epoch);
     cfg.log_group_commit = plan.group_commit;
-    cfg.log_async_commit = plan.async_epoch;
     cfg.log_epoch_interval_ns = 200 * 1000;
-    cfg.data_disk = quick_disk;
     cfg.log_disk = log_disk;
-    cfg.seed = seed + 1;
     mysql = std::make_unique<engine::MySQLMini>(cfg);
     db = mysql.get();
   }
@@ -335,124 +648,20 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
   if (plan.fault_crash) injector.Arm();
 
   // --- workload ------------------------------------------------------------
-  std::vector<OracleTxn> committed;
-  // Async seeds: per-txn ack outcome, written by the epoch thread and read
-  // only after the log is stopped (which resolves every pending ack).
-  struct AckState {
-    std::mutex mu;
-    bool fired = false;
-    bool ok = false;
+  CheckpointSlot ckpt_slot;
+  WorkloadHooks hooks;
+  hooks.async = plan.async_epoch;
+  hooks.outcome = [&](const OracleTxn&, const Status& s, bool crashed_now) {
+    return RecoveryOutcome(s, crashed_now, plan.async_epoch);
   };
-  std::vector<std::shared_ptr<AckState>> ack_states;  // parallel to committed
-  DbState shadow = PreloadState();
-  engine::CheckpointStore ckpt_store;
-  uint64_t ckpt_saves = 0;
+  hooks.checkpoint_every = plan.use_checkpoints ? plan.checkpoint_every : 0;
+  hooks.checkpoint = [&] {
+    ckpt_slot.Save(plan.use_pg ? pgdb->TakeCheckpoint()
+                               : mysql->TakeCheckpoint());
+  };
   auto conn = db->Connect();
-
-  for (int i = 0; i < kMaxTxns; ++i) {
-    if (CrashPoints::Global().triggered()) break;
-    // Build the transaction against a scratch copy of the shadow, so the
-    // oracle's after-images match what the engine computes.
-    DbState scratch = shadow;
-    OracleTxn txn;
-    const int nops = 1 + static_cast<int>(rng.Uniform(3));
-    for (int o = 0; o < nops; ++o) {
-      OracleOp op;
-      op.table = static_cast<uint32_t>(rng.Uniform(kTables));
-      op.key = rng.Uniform(kKeySpace);
-      TableState& ts = scratch[op.table];
-      auto it = ts.find(op.key);
-      if (it == ts.end()) {
-        op.kind = OracleOp::Kind::kInsert;
-        op.after = {static_cast<int64_t>(op.key * 3 + 1),
-                    static_cast<int64_t>(seed & 0xFF)};
-        ts[op.key] = op.after;
-      } else if (rng.Bernoulli(0.2)) {
-        op.kind = OracleOp::Kind::kDelete;
-        ts.erase(it);
-      } else {
-        // Delta update of col 0; the after-image the engine will log is the
-        // scratch row after the increment (engine and shadow rows agree by
-        // induction: every committed mutation is mirrored).
-        op.kind = OracleOp::Kind::kUpdate;
-        op.delta = static_cast<int64_t>(1 + rng.Uniform(9));
-        op.after = it->second;
-        op.after[0] += op.delta;
-        it->second = op.after;
-      }
-      txn.ops.push_back(std::move(op));
-    }
-
-    if (!conn->Begin().ok()) break;
-    bool op_failed = false;
-    for (const OracleOp& op : txn.ops) {
-      Status s;
-      switch (op.kind) {
-        case OracleOp::Kind::kDelete:
-          s = conn->Delete(op.table, op.key);
-          break;
-        case OracleOp::Kind::kUpdate:
-          s = conn->Update(op.table, op.key, 0, op.delta);
-          break;
-        case OracleOp::Kind::kInsert: {
-          storage::Row row;
-          row.cols = op.after;
-          s = conn->Insert(op.table, op.key, row);
-          break;
-        }
-      }
-      if (!s.ok()) {
-        op_failed = true;
-        break;
-      }
-    }
-    if (op_failed) {
-      conn->Rollback();
-      if (CrashPoints::Global().triggered()) break;
-      continue;
-    }
-    Status cs;
-    std::shared_ptr<AckState> ack_state;
-    if (plan.async_epoch) {
-      ack_state = std::make_shared<AckState>();
-      cs = conn->CommitAsync([ack_state](const Status& s) {
-        std::lock_guard<std::mutex> g(ack_state->mu);
-        ack_state->fired = true;
-        ack_state->ok = s.ok();
-      });
-    } else {
-      cs = conn->Commit();
-    }
-    const bool crashed_now = CrashPoints::Global().triggered();
-    if (cs.ok()) {
-      // Engine state now includes this transaction (commit did not roll
-      // back), whether or not it is durable. Async acked-ness is resolved
-      // after the log stops, from the ack itself.
-      txn.acked = !plan.async_epoch && !crashed_now;
-      committed.push_back(txn);
-      ack_states.push_back(std::move(ack_state));
-      shadow = std::move(scratch);
-    }
-    if (crashed_now) break;
-
-    if (plan.use_checkpoints &&
-        committed.size() % plan.checkpoint_every == 0 && !committed.empty()) {
-      // TakeCheckpoint enforces the write-ahead rule (forces the log
-      // durable through every assigned LSN). A refusal — the force tripped
-      // the crash or stalled — aborts this checkpoint, like a real system;
-      // the store keeps the previous snapshot.
-      const Result<engine::Checkpoint> ckpt =
-          plan.use_pg ? pgdb->TakeCheckpoint() : mysql->TakeCheckpoint();
-      if (ckpt.ok()) {
-        ckpt_store.Save(engine::EncodeCheckpoint(ckpt.value()));
-        ++ckpt_saves;
-      }
-    }
-  }
-
-  result.crashed = CrashPoints::Global().triggered();
-  result.committed = committed.size();
-  const std::string crashed_by = CrashPoints::Global().triggered_by();
+  Ledger ledger = RunWorkload(seed, conn.get(), hooks, &rng, &result);
+  if (!result.ok) return result;
 
   // --- reboot --------------------------------------------------------------
   // Images are cut from the durable watermarks, so reading them after Reset
@@ -473,21 +682,7 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
     const uint64_t tail = plan.torn_tail ? rng.Uniform(4 * 1024) : 0;
     images.push_back(mysql->redo_log().CrashImage(tail));
   }
-  // The log is stopped: every async ack has fired exactly once. A txn is
-  // acked iff its ack reported OK — i.e. the client was told it survived.
-  for (size_t i = 0; i < committed.size(); ++i) {
-    if (ack_states[i] == nullptr) continue;
-    std::lock_guard<std::mutex> g(ack_states[i]->mu);
-    if (!ack_states[i]->fired) {
-      result.ok = false;
-      result.error = "async ack never resolved after log stop";
-      return result;
-    }
-    committed[i].acked = ack_states[i]->ok;
-  }
-  for (const OracleTxn& t : committed) {
-    if (t.acked) ++result.acked;
-  }
+  if (!ResolveAcks(&ledger, &result)) return result;
   bool corrupted = false;
   if (plan.corrupt) {
     // Flip one bit in one image (two-disk pg: only one disk corrupted, the
@@ -500,163 +695,90 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
   // --- decode + replay -----------------------------------------------------
   std::vector<log::RecoveredTxn> recovered;
   bool decode_detected_damage = false;
-  size_t image_total = 0, valid_total = 0;
+  size_t image_total = 0;
   if (plan.use_pg) {
     const pg::WalManager::RecoveryResult rr =
         pg::WalManager::RecoverCommitted(images, &recovered);
     decode_detected_damage = !rr.status.ok() || rr.torn_sets > 0;
     for (const auto& img : images) image_total += img.size();
-    valid_total = image_total;  // per-set valid bytes not surfaced; use flag
   } else {
     const log::LogDecodeResult dr = log::DecodeLogImage(images[0], &recovered);
     decode_detected_damage =
         !dr.status.ok() || dr.torn_tail || dr.valid_bytes < images[0].size();
     image_total = images[0].size();
-    valid_total = dr.valid_bytes;
   }
-  (void)valid_total;
 
   std::optional<engine::Checkpoint> ckpt;
-  if (plan.use_checkpoints && ckpt_saves > 0) {
+  if (plan.use_checkpoints && ckpt_slot.saves > 0) {
     if (plan.tear_checkpoint) {
-      ckpt_store.TearNewest(rng.Uniform(64));
+      ckpt_slot.store.TearNewest(rng.Uniform(64));
     }
-    ckpt = ckpt_store.LoadLatest();
+    ckpt = ckpt_slot.store.LoadLatest();
     if (!ckpt.has_value() && !plan.tear_checkpoint) {
-      result.ok = false;
-      result.error = "saved checkpoint failed to decode";
-      return result;
+      return Failed(result, "saved checkpoint failed to decode");
     }
-    if (!ckpt.has_value() && ckpt_saves >= 2) {
+    if (!ckpt.has_value() && ckpt_slot.saves >= 2) {
       // Tearing destroys at most the newest slot; with two saves the older
       // slot must still decode.
-      result.ok = false;
-      result.error = "two-slot store lost both checkpoints to one tear";
-      return result;
+      return Failed(result, "two-slot store lost both checkpoints to one tear");
     }
   }
-
-  auto make_target = [&]() -> std::pair<std::unique_ptr<engine::Database>,
-                                        storage::Catalog*> {
-    if (plan.use_pg) {
-      pg::PgMiniConfig cfg;
-      cfg.logical_redo = true;
-      cfg.row_work_ns = 0;
-      cfg.predicate_check_ns = 0;
-      cfg.wal.num_log_sets = plan.pg_log_sets;
-      cfg.seed = seed + 2;
-      auto target = std::make_unique<pg::PgMini>(cfg);
-      storage::Catalog* cat = &target->catalog();
-      SetupSchema(target.get());
-      return {std::move(target), cat};
-    }
-    engine::MySQLMiniConfig cfg;
-    cfg.logical_redo = true;
-    cfg.row_work_ns = 0;
-    cfg.seed = seed + 2;
-    auto target = std::make_unique<engine::MySQLMini>(cfg);
-    storage::Catalog* cat = &target->catalog();
-    SetupSchema(target.get());
-    return {std::move(target), cat};
-  };
-
-  auto recover_into = [&](engine::Database* target, uint64_t start_after) {
-    if (plan.use_pg) {
-      pg::PgMini::RecoverInto(recovered, target, start_after);
-    } else {
-      engine::MySQLMini::RecoverInto(recovered, target, start_after);
-    }
-  };
-
-  auto [target, target_catalog] = make_target();
-  if (ckpt.has_value()) {
-    engine::RestoreCheckpoint(*ckpt, target_catalog);
-    recover_into(target.get(), ckpt->lsn);
-  } else {
-    recover_into(target.get(), 0);
-  }
-  const DbState recovered_state = ExtractState(*target_catalog);
+  const DbState recovered_state =
+      Replay(plan.use_pg, plan.pg_log_sets, seed, recovered, ckpt);
 
   // --- verification --------------------------------------------------------
-  // (1) Prefix property: the recovered state must equal the oracle state
-  // after some prefix of the committed transactions. Some seeds can
-  // legitimately break this: pg's parallel WAL salvages every decodable
-  // frame across sets by contract (see tests/pg_recovery_test.cc), so a
-  // mid-stream LSN hole — one set's frames lost to a flipped bit or a torn
-  // tail while another set's survive, or the epoch thread caught mid-way
-  // through its per-set barriers — yields a non-prefix mixture. For those
-  // seeds only, fall back to salvage equivalence: the recovered state must
-  // equal checkpoint-base + every decoded frame above the stamp.
-  DbState prefix_state = PreloadState();
+  // (1) Prefix property. Some seeds can legitimately break it: pg's parallel
+  // WAL salvages every decodable frame across sets by contract (see
+  // tests/pg_recovery_test.cc), so a mid-stream LSN hole — one set's frames
+  // lost to a flipped bit or a torn tail while another set's survive, or the
+  // epoch thread caught mid-way through its per-set barriers — yields a
+  // non-prefix mixture. For those seeds only, fall back to salvage
+  // equivalence: the recovered state must equal checkpoint-base + every
+  // decoded frame above the stamp.
+  //
+  // (2) Durability: every acked transaction is recovered. Waived when we
+  // deliberately destroyed durable bytes (corruption seeds).
   std::optional<uint64_t> matched_prefix;
-  if (recovered_state == prefix_state) matched_prefix = 0;
-  for (size_t k = 0; k < committed.size(); ++k) {
-    ApplyTxn(committed[k], &prefix_state);
-    if (recovered_state == prefix_state) matched_prefix = k + 1;
-  }
+  const std::string prefix_err =
+      CheckPrefix(recovered_state, ledger, !corrupted, &matched_prefix);
   const bool holes_possible =
       corrupted || (plan.use_pg && plan.pg_log_sets > 1 &&
                     (plan.torn_tail || plan.async_epoch));
-  if (matched_prefix.has_value()) {
+  if (matched_prefix.has_value() || !holes_possible) {
+    if (!prefix_err.empty()) return Failed(result, prefix_err);
     result.recovered_prefix = *matched_prefix;
-  } else if (!holes_possible) {
-    result.ok = false;
-    result.error =
-        "recovered state matches no committed prefix (" +
-        DescribeDiff(recovered_state, prefix_state) + " vs full state)";
-    return result;
   } else {
     const DbState salvage = SalvageModelState(ckpt, recovered);
     if (recovered_state != salvage) {
-      result.ok = false;
-      result.error = "holed recovery diverges from the salvage model (" +
-                     DescribeDiff(recovered_state, salvage) + ")";
-      return result;
+      return Failed(result, "holed recovery diverges from the salvage model (" +
+                                DescribeDiff(recovered_state, salvage) + ")");
     }
     // Durability in the salvage regime: acked frames were barriered durable
     // on every set before the ack fired, so unless the corruption landed on
     // them they must all still be in the decoded stream.
     if (!corrupted && recovered.size() < result.acked) {
-      result.ok = false;
-      result.error = "acked transaction missing from salvaged stream: " +
-                     std::to_string(recovered.size()) + " decoded < acked " +
-                     std::to_string(result.acked);
-      return result;
+      return Failed(result, "acked transaction missing from salvaged stream: " +
+                                std::to_string(recovered.size()) +
+                                " decoded < acked " +
+                                std::to_string(result.acked));
     }
-  }
-
-  // (2) Durability: every acked transaction is recovered. Waived when we
-  // deliberately destroyed durable bytes (corruption seeds); the salvage
-  // fallback above carries its own version of this check.
-  if (!corrupted && matched_prefix.has_value() &&
-      *matched_prefix < result.acked) {
-    result.ok = false;
-    result.error = "acked transaction lost: recovered prefix " +
-                   std::to_string(*matched_prefix) + " < acked " +
-                   std::to_string(result.acked) +
-                   (crashed_by.empty() ? "" : " (crash via " + crashed_by + ")");
-    return result;
   }
 
   // (3) Corruption detection: a flipped bit never decodes cleanly.
   if (corrupted && !decode_detected_damage) {
-    result.ok = false;
-    result.error = "silent corruption: flipped image decoded clean";
-    return result;
+    return Failed(result, "silent corruption: flipped image decoded clean");
   }
 
   // (4) Checkpoint path agrees with full replay. Skipped on corruption
   // seeds: a checkpoint covering transactions the damaged log can no longer
   // reconstruct is the point of checkpoints, not a divergence.
   if (ckpt.has_value() && !corrupted) {
-    auto [full, full_catalog] = make_target();
-    recover_into(full.get(), 0);
-    const DbState full_state = ExtractState(*full_catalog);
+    const DbState full_state =
+        Replay(plan.use_pg, plan.pg_log_sets, seed, recovered, std::nullopt);
     if (full_state != recovered_state) {
-      result.ok = false;
-      result.error = "checkpoint+suffix recovery diverges from full replay (" +
-                     DescribeDiff(recovered_state, full_state) + ")";
-      return result;
+      return Failed(result,
+                    "checkpoint+suffix recovery diverges from full replay (" +
+                        DescribeDiff(recovered_state, full_state) + ")");
     }
   }
 
@@ -670,7 +792,7 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
         static_cast<unsigned long long>(result.committed),
         static_cast<unsigned long long>(result.acked),
         static_cast<unsigned long long>(result.recovered_prefix),
-        crashed_by.empty() ? "none" : crashed_by.c_str(),
+        ledger.crashed_by.empty() ? "none" : ledger.crashed_by.c_str(),
         ckpt.has_value() ? "yes" : "no", plan.torn_tail ? 1 : 0,
         corrupted ? 1 : 0, image_total);
   }
@@ -692,17 +814,26 @@ SeedResult RunSeed(uint64_t seed, const std::string& engine_filter,
 // At reboot every copy's crash image is collected (optionally with torn
 // tails), the new leader is elected (longest valid frame prefix) — on
 // `leader_lost` seeds over the replica copies only, modelling a leader whose
-// disk died with it — and replay is verified against the oracle:
-//
-//   * the recovered state equals the oracle after some prefix of the
-//     submitted commits (never a mixture — this is what rules out
-//     double-apply of an unacknowledged commit),
-//   * the prefix covers every quorum-acknowledged commit (a client that saw
-//     OK never loses its transaction under any single failure),
+// disk died with it — and the elected stream replays. Every copy is a
+// byte-prefix of the one leader stream, so the shared prefix oracle applies
+// with no salvage regime: a non-prefix is what a double-applied unacked
+// commit would look like. Checks beyond it:
 //   * on kill/clean seeds every submitted commit acked OK (one dead
 //     minority replica never blocks commit), and
 //   * the ack ledger balances: commits_submitted == acks_quorum + acks_lost
 //     once the log stops.
+//
+// Contract:
+//   OK                    -> acked (sync: the quorum ack fired, so the frame
+//                            is durable on a quorum of copies and survives
+//                            any single failure), or unacked until its ack
+//                            fires (async).
+//   Unavailable           -> the one undecided outcome a client sees with no
+//                            crash (quorum unreachable, failover window). The
+//                            frame is already in the leader's stream, so the
+//                            oracle records it unacked in stream order: it
+//                            MAY recover.
+//   other failure         -> dropped after a crash, a violation without one.
 
 struct ReplPlan {
   int replicas = 3;  ///< Total copies incl. the leader.
@@ -761,30 +892,23 @@ ReplPlan MakeReplPlan(Rng* rng) {
   return plan;
 }
 
-SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
+Outcome ReplOutcome(const Status& s, bool crashed_now, bool async) {
+  if (s.ok()) return async ? Outcome::kUnacked : Outcome::kAcked;
+  if (s.IsUnavailable()) return Outcome::kUnacked;
+  return crashed_now ? Outcome::kDropped : Outcome::kViolation;
+}
+
+SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
+                              bool verbose) {
   SeedResult result;
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 0x0E91);
   const ReplPlan plan = MakeReplPlan(&rng);
 
   CrashPoints::Global().Reset();
-
-  SimDiskConfig quick_disk;
-  quick_disk.base_latency_ns = 1000;
-  quick_disk.sigma = 0.0;
-  quick_disk.flush_barrier_ns = 2000;
-  quick_disk.seed = seed + 7;
-
-  engine::MySQLMiniConfig cfg;
-  cfg.logical_redo = true;
-  cfg.row_work_ns = 0;
-  cfg.flush_policy = log::FlushPolicy::kEagerFlush;
-  cfg.log_async_commit = plan.async_epoch;
+  engine::MySQLMiniConfig cfg = LiveMysqlConfig(seed, plan.async_epoch);
   cfg.log_epoch_interval_ns = 200 * 1000;
-  cfg.data_disk = quick_disk;
-  cfg.log_disk = quick_disk;
   cfg.repl_replicas = plan.replicas;
-  cfg.repl_disk = quick_disk;
-  cfg.seed = seed + 1;
+  cfg.repl_disk = cfg.data_disk;
   auto mysql = std::make_unique<engine::MySQLMini>(cfg);
   SetupSchema(mysql.get());
   repl::QuorumLog* ql = mysql->quorum_log();
@@ -794,152 +918,38 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
   }
 
   // --- workload ------------------------------------------------------------
-  std::vector<OracleTxn> committed;
-  struct AckState {
-    std::mutex mu;
-    bool fired = false;
-    bool ok = false;
-  };
-  std::vector<std::shared_ptr<AckState>> ack_states;  // parallel to committed
-  DbState shadow = PreloadState();
-  engine::CheckpointStore ckpt_store;
-  uint64_t ckpt_saves = 0;
-  uint64_t acked_sync = 0;
+  CheckpointSlot ckpt_slot;
   bool failed_over = false;
-  auto conn = mysql->Connect();
-
-  for (int i = 0; i < kMaxTxns; ++i) {
-    if (CrashPoints::Global().triggered()) break;
-    DbState scratch = shadow;
-    OracleTxn txn;
-    const int nops = 1 + static_cast<int>(rng.Uniform(3));
-    for (int o = 0; o < nops; ++o) {
-      OracleOp op;
-      op.table = static_cast<uint32_t>(rng.Uniform(kTables));
-      op.key = rng.Uniform(kKeySpace);
-      TableState& ts = scratch[op.table];
-      auto it = ts.find(op.key);
-      if (it == ts.end()) {
-        op.kind = OracleOp::Kind::kInsert;
-        op.after = {static_cast<int64_t>(op.key * 3 + 1),
-                    static_cast<int64_t>(seed & 0xFF)};
-        ts[op.key] = op.after;
-      } else if (rng.Bernoulli(0.2)) {
-        op.kind = OracleOp::Kind::kDelete;
-        ts.erase(it);
-      } else {
-        op.kind = OracleOp::Kind::kUpdate;
-        op.delta = static_cast<int64_t>(1 + rng.Uniform(9));
-        op.after = it->second;
-        op.after[0] += op.delta;
-        it->second = op.after;
-      }
-      txn.ops.push_back(std::move(op));
-    }
-
-    if (!conn->Begin().ok()) break;
-    bool op_failed = false;
-    for (const OracleOp& op : txn.ops) {
-      Status s;
-      switch (op.kind) {
-        case OracleOp::Kind::kDelete:
-          s = conn->Delete(op.table, op.key);
-          break;
-        case OracleOp::Kind::kUpdate:
-          s = conn->Update(op.table, op.key, 0, op.delta);
-          break;
-        case OracleOp::Kind::kInsert: {
-          storage::Row row;
-          row.cols = op.after;
-          s = conn->Insert(op.table, op.key, row);
-          break;
-        }
-      }
-      if (!s.ok()) {
-        op_failed = true;
-        break;
-      }
-    }
-    if (op_failed) {
-      conn->Rollback();
-      if (CrashPoints::Global().triggered()) break;
-      continue;
-    }
-    Status cs;
-    std::shared_ptr<AckState> ack_state;
-    if (plan.async_epoch) {
-      ack_state = std::make_shared<AckState>();
-      cs = conn->CommitAsync([ack_state](const Status& s) {
-        std::lock_guard<std::mutex> g(ack_state->mu);
-        ack_state->fired = true;
-        ack_state->ok = s.ok();
-      });
-    } else {
-      cs = conn->Commit();
-    }
-    const bool crashed_now = CrashPoints::Global().triggered();
-    if (cs.ok()) {
-      // Sync: OK means the quorum ack fired — the frame is durable on a
-      // quorum of copies and MUST survive any single failure. Async
-      // acked-ness resolves from the parked ack after the log stops.
-      txn.acked = !plan.async_epoch;
-      acked_sync += txn.acked ? 1 : 0;
-      committed.push_back(std::move(txn));
-      ack_states.push_back(std::move(ack_state));
-      shadow = std::move(scratch);
-    } else if (cs.IsUnavailable()) {
-      // Quorum unreachable / failover window: the frame was appended to the
-      // leader's log but the client saw a retryable error — the outcome is
-      // undecided, so the oracle records it unacked (it MAY recover).
-      txn.acked = false;
-      committed.push_back(std::move(txn));
-      ack_states.push_back(nullptr);
-      shadow = std::move(scratch);
-    }
-    if (crashed_now) break;
-
-    // Failure arms trigger on commit-count thresholds so every seed replays
-    // exactly.
+  WorkloadHooks hooks;
+  hooks.async = plan.async_epoch;
+  hooks.outcome = [&](const OracleTxn&, const Status& s, bool crashed_now) {
+    return ReplOutcome(s, crashed_now, plan.async_epoch);
+  };
+  // Failure arms trigger on commit-count thresholds so every seed replays
+  // exactly.
+  hooks.after_commit = [&](uint64_t committed) {
     if (plan.arm == ReplPlan::Arm::kKillReplica &&
-        committed.size() == plan.kill_at_commit) {
+        committed == plan.kill_at_commit) {
       ql->KillReplica(plan.kill_replica);
     }
     if (plan.arm == ReplPlan::Arm::kFailover && !failed_over &&
-        committed.size() >= plan.failover_at_commit) {
+        committed >= plan.failover_at_commit) {
       ql->Failover();
       ql->CatchUpReplicas();
       failed_over = true;
     }
-
-    if (plan.use_checkpoints &&
-        committed.size() % plan.checkpoint_every == 0 && !committed.empty()) {
-      const Result<engine::Checkpoint> ckpt = mysql->TakeCheckpoint();
-      if (ckpt.ok()) {
-        ckpt_store.Save(engine::EncodeCheckpoint(ckpt.value()));
-        ++ckpt_saves;
-      }
-    }
-  }
-
-  result.crashed = CrashPoints::Global().triggered();
-  result.committed = committed.size();
-  const std::string crashed_by = CrashPoints::Global().triggered_by();
+  };
+  hooks.checkpoint_every = plan.use_checkpoints ? plan.checkpoint_every : 0;
+  hooks.checkpoint = [&] { ckpt_slot.Save(mysql->TakeCheckpoint()); };
+  auto conn = mysql->Connect();
+  Ledger ledger = RunWorkload(seed, conn.get(), hooks, &rng, &result);
+  if (!result.ok) return result;
 
   // Non-crash seeds: drain the in-flight epoch/ship pipeline so the
   // availability assertion below sees final ack outcomes, not a race with
   // the epoch timer.
   if (!result.crashed && plan.async_epoch) {
-    for (int spin = 0; spin < 20000; ++spin) {
-      bool all_fired = true;
-      for (const auto& st : ack_states) {
-        if (st == nullptr) continue;
-        std::lock_guard<std::mutex> g(st->mu);
-        if (!st->fired) {
-          all_fired = false;
-          break;
-        }
-      }
-      if (all_fired) break;
+    for (int spin = 0; spin < 20000 && !AllAcksFired(ledger); ++spin) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
@@ -950,20 +960,7 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
   // torn bytes: exactly what a post-reboot scan of every node would see.
   const uint64_t tail = plan.torn_tail ? rng.Uniform(4 * 1024) : 0;
   std::vector<std::vector<uint8_t>> images = ql->CrashImages(tail);
-
-  for (size_t i = 0; i < committed.size(); ++i) {
-    if (ack_states[i] == nullptr) continue;
-    std::lock_guard<std::mutex> g(ack_states[i]->mu);
-    if (!ack_states[i]->fired) {
-      result.ok = false;
-      result.error = "async ack never resolved after log stop";
-      return result;
-    }
-    committed[i].acked = ack_states[i]->ok;
-  }
-  for (const OracleTxn& t : committed) {
-    if (t.acked) ++result.acked;
-  }
+  if (!ResolveAcks(&ledger, &result)) return result;
   // The epoch timer keeps hitting its crash sites after the workload loop
   // exits, so an armed point can trip during the drain or the image cut —
   // re-read the flag before asserting availability.
@@ -975,24 +972,22 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
   const repl::QuorumLog::Stats& qs = ql->stats();
   if (qs.commits_submitted.load() !=
       qs.acks_quorum.load() + qs.acks_lost.load()) {
-    result.ok = false;
-    result.error =
-        "ack ledger out of balance: submitted " +
-        std::to_string(qs.commits_submitted.load()) + " != quorum " +
-        std::to_string(qs.acks_quorum.load()) + " + lost " +
-        std::to_string(qs.acks_lost.load());
-    return result;
+    return Failed(result, "ack ledger out of balance: submitted " +
+                              std::to_string(qs.commits_submitted.load()) +
+                              " != quorum " +
+                              std::to_string(qs.acks_quorum.load()) +
+                              " + lost " +
+                              std::to_string(qs.acks_lost.load()));
   }
 
   // Availability: with no crash and at most one dead minority replica (or a
   // completed failover drill), every submitted commit must have acked OK.
   if (!crashed_at_all && plan.arm != ReplPlan::Arm::kFailover &&
       result.acked != result.committed) {
-    result.ok = false;
-    result.error = "commit lost availability under single failure: acked " +
-                   std::to_string(result.acked) + " < committed " +
-                   std::to_string(result.committed);
-    return result;
+    return Failed(result,
+                  "commit lost availability under single failure: acked " +
+                      std::to_string(result.acked) + " < committed " +
+                      std::to_string(result.committed));
   }
 
   // --- election + replay ---------------------------------------------------
@@ -1005,66 +1000,28 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
     ballot = images;
   }
   const repl::Election election = repl::ElectLeader(ballot);
-  const std::vector<log::RecoveredTxn>& recovered = election.txns;
 
   std::optional<engine::Checkpoint> ckpt;
-  if (!plan.leader_lost && plan.use_checkpoints && ckpt_saves > 0) {
-    ckpt = ckpt_store.LoadLatest();
+  if (!plan.leader_lost && plan.use_checkpoints && ckpt_slot.saves > 0) {
+    ckpt = ckpt_slot.store.LoadLatest();
     if (!ckpt.has_value()) {
-      result.ok = false;
-      result.error = "saved checkpoint failed to decode";
-      return result;
+      return Failed(result, "saved checkpoint failed to decode");
     }
   }
-
-  engine::MySQLMiniConfig target_cfg;
-  target_cfg.logical_redo = true;
-  target_cfg.row_work_ns = 0;
-  target_cfg.seed = seed + 2;
-  auto target = std::make_unique<engine::MySQLMini>(target_cfg);
-  SetupSchema(target.get());
-  if (ckpt.has_value()) {
-    engine::RestoreCheckpoint(*ckpt, &target->catalog());
-    engine::MySQLMini::RecoverInto(recovered, target.get(), ckpt->lsn);
-  } else {
-    engine::MySQLMini::RecoverInto(recovered, target.get(), 0);
-  }
-  const DbState recovered_state = ExtractState(target->catalog());
+  const DbState recovered_state =
+      Replay(/*use_pg=*/false, 1, seed, election.txns, ckpt);
 
   // --- verification --------------------------------------------------------
-  // (1) Prefix property. Every copy is a byte-prefix of the one leader
-  // stream, so the elected image always decodes to an LSN-prefix — a
-  // non-prefix (or any double-applied delta) is a bug, no salvage regime.
-  DbState prefix_state = PreloadState();
-  std::optional<uint64_t> matched_prefix;
-  if (recovered_state == prefix_state) matched_prefix = 0;
-  for (size_t k = 0; k < committed.size(); ++k) {
-    ApplyTxn(committed[k], &prefix_state);
-    if (recovered_state == prefix_state) matched_prefix = k + 1;
+  // Durability holds even when the leader's own copy was lost: a
+  // quorum-acked frame is durable on >= quorum copies and copies are
+  // prefixes of one stream, so the longest surviving replica holds all of
+  // them.
+  std::optional<uint64_t> prefix;
+  if (std::string err = CheckPrefix(recovered_state, ledger, true, &prefix);
+      !err.empty()) {
+    return Failed(result, err + (plan.leader_lost ? " [leader lost]" : ""));
   }
-  if (!matched_prefix.has_value()) {
-    result.ok = false;
-    result.error = "recovered state matches no committed prefix (" +
-                   DescribeDiff(recovered_state, prefix_state) +
-                   " vs full state)";
-    return result;
-  }
-  result.recovered_prefix = *matched_prefix;
-
-  // (2) Durability: every quorum-acked commit is in the recovered prefix —
-  // even when the leader's own copy was lost, because a quorum-acked frame
-  // is durable on >= quorum copies and copies are prefixes of one stream,
-  // so the longest surviving replica holds all of them.
-  if (*matched_prefix < result.acked) {
-    result.ok = false;
-    result.error =
-        "acked transaction lost: recovered prefix " +
-        std::to_string(*matched_prefix) + " < acked " +
-        std::to_string(result.acked) +
-        (crashed_by.empty() ? "" : " (crash via " + crashed_by + ")") +
-        (plan.leader_lost ? " [leader lost]" : "");
-    return result;
-  }
+  result.recovered_prefix = *prefix;
 
   if (verbose) {
     static const char* kArmNames[] = {"clean", "crash", "kill", "failover"};
@@ -1080,7 +1037,7 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
         static_cast<unsigned long long>(result.committed),
         static_cast<unsigned long long>(result.acked),
         static_cast<unsigned long long>(result.recovered_prefix),
-        crashed_by.empty() ? "none" : crashed_by.c_str(),
+        ledger.crashed_by.empty() ? "none" : ledger.crashed_by.c_str(),
         plan.leader_lost ? 1 : 0, plan.torn_tail ? 1 : 0, election.winner,
         static_cast<unsigned long long>(election.frames));
   }
@@ -1104,23 +1061,32 @@ SeedResult RunReplicaKillSeed(uint64_t seed, bool verbose) {
 // At reboot every shard's crash image is decoded independently, 2PC outcomes
 // are resolved across the streams with engine::Filter2PCRedo (presumed
 // abort), each filtered stream replays into a fresh shard, and the merged
-// state is verified against the shadow oracle:
-//
-//   * ATOMICITY: the merged state equals the oracle after every OK-committed
-//     transaction, optionally extended by THE one undecided tail transaction
-//     (a commit whose decision durability the crash left ambiguous) applied
-//     in full. A cross-shard transaction recovered on some shards but not
-//     others matches neither state and fails the seed.
-//   * DURABILITY: every transaction whose Commit() returned OK before the
-//     crash point fired recovers — single-shard commits force their frame,
-//     2PC forces PREPARE and DECISION frames. An OK returned after the
-//     crash fired is ambiguous (the single-shard eager path degrades on a
-//     dark device instead of failing the commit) and joins the undecided
-//     tail.
-//   * PRESUMED ABORT: a prepare-phase abort (no decision logged) never
-//     resurrects, even when its prepare frames survive in a torn tail.
+// state goes to the shared prefix oracle. Every OK commit before the crash
+// is acked, so the only acceptable states are "all committed" and "all
+// committed + the undecided tail in full". This is ATOMICITY: a cross-shard
+// transaction recovered on some shards but not others matches neither.
+// Checks beyond it:
 //   * LEDGER: 2pc.prepared + 2pc.aborted_presumed == 2pc.coordinated over
-//     the seed (the bench_suites invariant, checked at fuzzer granularity).
+//     the seed (the bench_suites invariant, checked at fuzzer granularity),
+//   * every shard's image decodes without DataLoss (torn-tail stops are
+//     expected; DataLoss would be a framing bug).
+//
+// Contract (sync Commit; each shard's epoch may still park the frames):
+//   OK before the crash   -> acked: single-shard commits force their frame,
+//                            2PC forces PREPARE and DECISION frames.
+//   OK after the crash    -> undecided: the 2PC forces report a dark device,
+//                            but the single-shard eager path degrades instead
+//                            of failing the commit (log.degraded_commits), so
+//                            OK does NOT imply the frame reached the durable
+//                            cut.
+//   prepare-phase abort   -> dropped: no decision was logged, so recovery
+//   after the crash          presumes abort and it must NOT resurrect, even
+//                            when its prepare frames survive in a torn tail.
+//   other failure after   -> undecided: a single-shard flush failure or an
+//   the crash                ambiguous 2PC decision leaves frames in the
+//                            append stream past the durable cut, where a torn
+//                            tail may reveal them.
+//   failure with no crash -> violation.
 
 struct CoordPlan {
   int num_shards = 2;
@@ -1159,28 +1125,22 @@ CoordPlan MakeCoordPlan(uint64_t seed, Rng* rng) {
   return plan;
 }
 
-SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
+Outcome CoordOutcome(const Status& s, bool crashed_now, bool prepare_aborted) {
+  if (!crashed_now) return s.ok() ? Outcome::kAcked : Outcome::kViolation;
+  return !s.ok() && prepare_aborted ? Outcome::kDropped : Outcome::kUndecided;
+}
+
+SeedResult RunCoordinatorCrashSeed(uint64_t seed,
+                                   const std::string& /*engine*/,
+                                   bool verbose) {
   SeedResult result;
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 0x2FC0);
   const CoordPlan plan = MakeCoordPlan(seed, &rng);
 
   CrashPoints::Global().Reset();
-
-  SimDiskConfig quick_disk;
-  quick_disk.base_latency_ns = 1000;
-  quick_disk.sigma = 0.0;
-  quick_disk.flush_barrier_ns = 2000;
-  quick_disk.seed = seed + 7;
-
   engine::ShardedDatabaseConfig cfg;
   cfg.num_shards = plan.num_shards;
-  cfg.shard.logical_redo = true;
-  cfg.shard.row_work_ns = 0;
-  cfg.shard.flush_policy = log::FlushPolicy::kEagerFlush;
-  cfg.shard.log_async_commit = plan.async_epoch;
-  cfg.shard.data_disk = quick_disk;
-  cfg.shard.log_disk = quick_disk;
-  cfg.shard.seed = seed + 1;
+  cfg.shard = LiveMysqlConfig(seed, plan.async_epoch);
   auto sharded = std::make_unique<engine::ShardedDatabase>(cfg);
   SetupSchema(sharded.get());
 
@@ -1199,132 +1159,34 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
   }
 
   // --- workload ------------------------------------------------------------
-  std::vector<OracleTxn> committed;
-  // The at-most-one transaction whose final commit failed with its frames
-  // possibly in a torn tail: recovery may legitimately surface it — in full
-  // on every shard it touched, or not at all.
-  std::optional<OracleTxn> undecided;
-  DbState shadow = PreloadState();
-  std::vector<engine::CheckpointStore> ckpt_stores(
-      static_cast<size_t>(plan.num_shards));
-  std::vector<uint64_t> ckpt_saves(static_cast<size_t>(plan.num_shards), 0);
+  std::vector<CheckpointSlot> ckpt_slots(static_cast<size_t>(plan.num_shards));
   uint64_t cross_txns = 0;
-  auto conn = sharded->Connect();
-
-  for (int i = 0; i < kMaxTxns; ++i) {
-    if (CrashPoints::Global().triggered()) break;
-    DbState scratch = shadow;
-    OracleTxn txn;
-    const int nops = 1 + static_cast<int>(rng.Uniform(3));
-    for (int o = 0; o < nops; ++o) {
-      OracleOp op;
-      op.table = static_cast<uint32_t>(rng.Uniform(kTables));
-      op.key = rng.Uniform(kKeySpace);
-      TableState& ts = scratch[op.table];
-      auto it = ts.find(op.key);
-      if (it == ts.end()) {
-        op.kind = OracleOp::Kind::kInsert;
-        op.after = {static_cast<int64_t>(op.key * 3 + 1),
-                    static_cast<int64_t>(seed & 0xFF)};
-        ts[op.key] = op.after;
-      } else if (rng.Bernoulli(0.2)) {
-        op.kind = OracleOp::Kind::kDelete;
-        ts.erase(it);
-      } else {
-        op.kind = OracleOp::Kind::kUpdate;
-        op.delta = static_cast<int64_t>(1 + rng.Uniform(9));
-        op.after = it->second;
-        op.after[0] += op.delta;
-        it->second = op.after;
-      }
-      txn.ops.push_back(std::move(op));
-    }
-
-    if (!conn->Begin().ok()) break;
-    bool op_failed = false;
-    for (const OracleOp& op : txn.ops) {
-      Status s;
-      switch (op.kind) {
-        case OracleOp::Kind::kDelete:
-          s = conn->Delete(op.table, op.key);
-          break;
-        case OracleOp::Kind::kUpdate:
-          s = conn->Update(op.table, op.key, 0, op.delta);
-          break;
-        case OracleOp::Kind::kInsert: {
-          storage::Row row;
-          row.cols = op.after;
-          s = conn->Insert(op.table, op.key, row);
-          break;
-        }
-      }
-      if (!s.ok()) {
-        op_failed = true;
-        break;
-      }
-    }
-    if (op_failed) {
-      // Rolled back before commit: no redo was logged, recovery must never
-      // see it.
-      conn->Rollback();
-      if (CrashPoints::Global().triggered()) break;
-      continue;
-    }
+  uint64_t aborted_seen = aborted0;
+  WorkloadHooks hooks;
+  hooks.outcome = [&](const OracleTxn& txn, const Status& s,
+                      bool crashed_now) {
     uint64_t shards_touched = 0;
     for (const OracleOp& op : txn.ops) {
       shards_touched |= uint64_t{1}
                         << sharded->router().ShardOf(op.table, op.key);
     }
     if ((shards_touched & (shards_touched - 1)) != 0) ++cross_txns;
-
-    const uint64_t aborted_before = c_aborted->value();
-    const Status cs = conn->Commit();
-    const bool crashed_now = CrashPoints::Global().triggered();
-    if (cs.ok() && !crashed_now) {
-      // Forced durable with a healthy device (single-shard sync commit, or
-      // 2PC prepare+decision forces): OK means this transaction MUST
-      // recover.
-      txn.acked = true;
-      committed.push_back(std::move(txn));
-      shadow = std::move(scratch);
-    } else if (cs.ok()) {
-      // The crash fired inside this commit. The 2PC forces report a dark
-      // device, but the single-shard eager path degrades instead of failing
-      // the commit (log.degraded_commits), so OK here does NOT imply the
-      // frame reached the durable cut: treat it as the undecided tail —
-      // recovery may surface it in full or not at all.
-      undecided = std::move(txn);
-    } else if (c_aborted->value() != aborted_before) {
-      // Prepare-phase abort: rolled back everywhere, no decision logged.
-      // Presumed abort at recovery — it must NOT resurrect. Nothing to
-      // record: it belongs to no acceptable state.
-    } else {
-      // Single-shard flush failure or ambiguous 2PC decision: frames are in
-      // the append stream past the durable cut — a torn tail may reveal
-      // them. Recovery may apply it fully or drop it; half is a violation.
-      undecided = std::move(txn);
+    // Only a prepare-phase abort bumps 2pc.aborted_presumed.
+    const bool prepare_aborted = c_aborted->value() != aborted_seen;
+    aborted_seen = c_aborted->value();
+    return CoordOutcome(s, crashed_now, prepare_aborted);
+  };
+  hooks.checkpoint_every = plan.use_checkpoints ? plan.checkpoint_every : 0;
+  hooks.checkpoint = [&] {
+    for (int s = 0; s < plan.num_shards; ++s) {
+      ckpt_slots[s].Save(sharded->shard(s)->TakeCheckpoint());
     }
-    if (CrashPoints::Global().triggered()) break;
-    if (!cs.ok()) break;  // non-crash commit failures should not happen
-
-    if (plan.use_checkpoints &&
-        committed.size() % plan.checkpoint_every == 0 && !committed.empty()) {
-      for (int s = 0; s < plan.num_shards; ++s) {
-        const Result<engine::Checkpoint> ckpt =
-            sharded->shard(s)->TakeCheckpoint();
-        if (ckpt.ok()) {
-          ckpt_stores[static_cast<size_t>(s)].Save(
-              engine::EncodeCheckpoint(ckpt.value()));
-          ++ckpt_saves[static_cast<size_t>(s)];
-        }
-      }
-    }
-  }
-
-  result.crashed = CrashPoints::Global().triggered();
-  result.committed = committed.size();
-  result.acked = committed.size();  // OK == acked == durable in this mode
-  const std::string crashed_by = CrashPoints::Global().triggered_by();
+  };
+  auto conn = sharded->Connect();
+  Ledger ledger = RunWorkload(seed, conn.get(), hooks, &rng, &result);
+  if (!result.ok) return result;
+  // Sync commits only: OK == acked == durable in this mode.
+  if (!ResolveAcks(&ledger, &result)) return result;
 
   // --- 2PC ledger (bench_suites invariant at fuzzer granularity) -----------
   const uint64_t coordinated_d = c_coordinated->value() - coordinated0;
@@ -1332,12 +1194,11 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
   const uint64_t aborted_d = c_aborted->value() - aborted0;
   const uint64_t decisions_d = c_decisions->value() - decisions0;
   if (prepared_d + aborted_d != coordinated_d) {
-    result.ok = false;
-    result.error = "2pc ledger out of balance: prepared " +
-                   std::to_string(prepared_d) + " + aborted_presumed " +
-                   std::to_string(aborted_d) + " != coordinated " +
-                   std::to_string(coordinated_d);
-    return result;
+    return Failed(result, "2pc ledger out of balance: prepared " +
+                              std::to_string(prepared_d) +
+                              " + aborted_presumed " +
+                              std::to_string(aborted_d) + " != coordinated " +
+                              std::to_string(coordinated_d));
   }
 
   // --- reboot --------------------------------------------------------------
@@ -1349,14 +1210,11 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
     const uint64_t tail = plan.torn_tail ? rng.Uniform(4 * 1024) : 0;
     const std::vector<uint8_t> image =
         sharded->shard(s)->redo_log().CrashImage(tail);
-    // Torn-tail stops are expected; DataLoss would be a framing bug.
     const log::LogDecodeResult dr =
         log::DecodeLogImage(image, &streams[static_cast<size_t>(s)]);
     if (!dr.status.ok()) {
-      result.ok = false;
-      result.error = "shard " + std::to_string(s) +
-                     " log decode failed: " + dr.status.ToString();
-      return result;
+      return Failed(result, "shard " + std::to_string(s) +
+                                " log decode failed: " + dr.status.ToString());
     }
   }
   CrashPoints::Global().Reset();
@@ -1375,14 +1233,13 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
     const std::vector<log::RecoveredTxn> filtered =
         engine::Filter2PCRedo(streams, static_cast<size_t>(s), &tstats);
     uint64_t start_after = 0;
-    if (plan.use_checkpoints && ckpt_saves[static_cast<size_t>(s)] > 0) {
+    if (plan.use_checkpoints && ckpt_slots[s].saves > 0) {
       const std::optional<engine::Checkpoint> ckpt =
-          ckpt_stores[static_cast<size_t>(s)].LoadLatest();
+          ckpt_slots[s].store.LoadLatest();
       if (!ckpt.has_value()) {
-        result.ok = false;
-        result.error =
-            "shard " + std::to_string(s) + " checkpoint failed to decode";
-        return result;
+        return Failed(result,
+                      "shard " + std::to_string(s) +
+                          " checkpoint failed to decode");
       }
       engine::RestoreCheckpoint(*ckpt, &target->shard(s)->catalog());
       start_after = ckpt->lsn;
@@ -1402,38 +1259,12 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
   }
 
   // --- verification --------------------------------------------------------
-  // Every OK commit was forced durable, so the only acceptable states are
-  // "all committed" and "all committed + the undecided tail in full". This
-  // subsumes atomicity: a cross-shard transaction applied on a strict
-  // subset of its shards matches neither.
-  DbState want = PreloadState();
-  for (const OracleTxn& t : committed) ApplyTxn(t, &want);
-  if (recovered_state == want) {
-    result.recovered_prefix = committed.size();
-  } else if (undecided.has_value()) {
-    DbState want_undecided = want;
-    ApplyTxn(*undecided, &want_undecided);
-    if (recovered_state == want_undecided) {
-      result.recovered_prefix = committed.size() + 1;
-    } else {
-      result.ok = false;
-      result.error =
-          "2PC atomicity violation: recovered state is neither all-committed"
-          " (" +
-          DescribeDiff(recovered_state, want) +
-          ") nor committed+undecided (" +
-          DescribeDiff(recovered_state, want_undecided) + ")" +
-          (crashed_by.empty() ? "" : " [crash via " + crashed_by + "]");
-      return result;
-    }
-  } else {
-    result.ok = false;
-    result.error = "recovered state diverges from the committed set (" +
-                   DescribeDiff(recovered_state, want) + ")" +
-                   (crashed_by.empty() ? "" : " [crash via " + crashed_by +
-                                                  "]");
-    return result;
+  std::optional<uint64_t> prefix;
+  if (std::string err = CheckPrefix(recovered_state, ledger, true, &prefix);
+      !err.empty()) {
+    return Failed(result, err);
   }
+  result.recovered_prefix = *prefix;
 
   if (verbose) {
     std::printf(
@@ -1445,8 +1276,8 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
         plan.async_epoch ? 1 : 0,
         static_cast<unsigned long long>(result.committed),
         static_cast<unsigned long long>(cross_txns),
-        undecided.has_value() ? 1 : 0,
-        crashed_by.empty() ? "none" : crashed_by.c_str(),
+        ledger.undecided > 0 ? 1 : 0,
+        ledger.crashed_by.empty() ? "none" : ledger.crashed_by.c_str(),
         plan.use_checkpoints ? 1 : 0, plan.torn_tail ? 1 : 0,
         static_cast<unsigned long long>(coordinated_d),
         static_cast<unsigned long long>(prepared_d),
@@ -1459,6 +1290,33 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed, bool verbose) {
   return result;
 }
 
+struct Mode {
+  const char* name;
+  SeedResult (*run)(uint64_t seed, const std::string& engine, bool verbose);
+};
+
+constexpr Mode kModes[] = {
+    {"recovery", RunRecoverySeed},
+    {"replica-kill", RunReplicaKillSeed},
+    {"coordinator-crash", RunCoordinatorCrashSeed},
+};
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: tdp_crashtest "
+               "[--mode=recovery|replica-kill|coordinator-crash] "
+               "[--seed-start=N] [--seed-count=N] "
+               "[--engine=mysql|pg|both] [--verbose]\n");
+  return 2;
+}
+
+// A plain decimal uint64: no sign, no blanks, no trailing text.
+bool ParseSeed(const char* v, uint64_t* out) {
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 }  // namespace tdp
 
@@ -1466,7 +1324,7 @@ int main(int argc, char** argv) {
   uint64_t seeds = 200;
   uint64_t start_seed = 0;
   std::string engine = "both";
-  std::string mode = "recovery";
+  const tdp::Mode* mode = &tdp::kModes[0];
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1475,44 +1333,35 @@ int main(int argc, char** argv) {
       return arg.compare(0, n, name) == 0 ? arg.c_str() + n : nullptr;
     };
     // --seed-start/--seed-count are the sharding spellings (one seed range
-    // per CI shard); --start_seed/--seeds stay as aliases.
-    if (const char* v = val("--seeds=")) {
-      seeds = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = val("--seed-count=")) {
-      seeds = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = val("--start_seed=")) {
-      start_seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = val("--seed-start=")) {
-      start_seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = val("--engine=")) {
+    // per CI shard); --start_seed/--seeds stay as aliases. A malformed or
+    // zero count must not pass the gate by running no seeds.
+    const char* v = nullptr;
+    if ((v = val("--seeds=")) || (v = val("--seed-count="))) {
+      if (!tdp::ParseSeed(v, &seeds) || seeds == 0) return tdp::Usage();
+    } else if ((v = val("--start_seed=")) || (v = val("--seed-start="))) {
+      if (!tdp::ParseSeed(v, &start_seed)) return tdp::Usage();
+    } else if ((v = val("--engine="))) {
       engine = v;
-    } else if (const char* v = val("--mode=")) {
-      mode = v;
+      if (engine != "mysql" && engine != "pg" && engine != "both") {
+        return tdp::Usage();
+      }
+    } else if ((v = val("--mode="))) {
+      mode = nullptr;
+      for (const tdp::Mode& m : tdp::kModes) {
+        if (std::strcmp(v, m.name) == 0) mode = &m;
+      }
+      if (mode == nullptr) return tdp::Usage();
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
-      std::fprintf(
-          stderr,
-          "usage: tdp_crashtest "
-          "[--mode=recovery|replica-kill|coordinator-crash] "
-          "[--seed-start=N] [--seed-count=N] "
-          "[--engine=mysql|pg|both] [--verbose]\n");
-      return 2;
+      return tdp::Usage();
     }
   }
-  if (mode != "recovery" && mode != "replica-kill" &&
-      mode != "coordinator-crash") {
-    std::fprintf(stderr, "unknown --mode=%s\n", mode.c_str());
-    return 2;
-  }
+  if (start_seed + seeds < start_seed) return tdp::Usage();  // wraps
 
   uint64_t failures = 0, crashes = 0, committed = 0, acked = 0;
   for (uint64_t seed = start_seed; seed < start_seed + seeds; ++seed) {
-    const tdp::SeedResult r =
-        mode == "replica-kill" ? tdp::RunReplicaKillSeed(seed, verbose)
-        : mode == "coordinator-crash"
-            ? tdp::RunCoordinatorCrashSeed(seed, verbose)
-            : tdp::RunSeed(seed, engine, verbose);
+    const tdp::SeedResult r = mode->run(seed, engine, verbose);
     crashes += r.crashed ? 1 : 0;
     committed += r.committed;
     acked += r.acked;
