@@ -48,8 +48,13 @@ BufferPool::BufferPool(BufferPoolConfig config)
 }
 
 BufferPool::~BufferPool() {
-  for (Frame* f : young_) delete f;
-  for (Frame* f : old_) delete f;
+  for (LruList* list : {&young_, &old_}) {
+    for (Frame* f = list->head; f != nullptr;) {
+      Frame* next = f->lru_next;
+      delete f;
+      f = next;
+    }
+  }
   // Frames still io-fixed at destruction would leak; the pool must be idle
   // when destroyed (enforced by the engines' shutdown order).
 }
@@ -90,22 +95,59 @@ void BufferPool::LruUnlock() {
   }
 }
 
+void BufferPool::LruList::PushFront(Frame* f) {
+  f->lru_prev = nullptr;
+  f->lru_next = head;
+  if (head != nullptr) {
+    head->lru_prev = f;
+  } else {
+    tail = f;
+  }
+  head = f;
+  ++size;
+}
+
+void BufferPool::LruList::PushBack(Frame* f) {
+  f->lru_next = nullptr;
+  f->lru_prev = tail;
+  if (tail != nullptr) {
+    tail->lru_next = f;
+  } else {
+    head = f;
+  }
+  tail = f;
+  ++size;
+}
+
+void BufferPool::LruList::Remove(Frame* f) {
+  if (f->lru_prev != nullptr) {
+    f->lru_prev->lru_next = f->lru_next;
+  } else {
+    head = f->lru_next;
+  }
+  if (f->lru_next != nullptr) {
+    f->lru_next->lru_prev = f->lru_prev;
+  } else {
+    tail = f->lru_prev;
+  }
+  f->lru_prev = f->lru_next = nullptr;
+  --size;
+}
+
 void BufferPool::BalanceListsLocked() {
-  const size_t total = young_.size() + old_.size();
+  const size_t total = young_.size + old_.size;
   const size_t target_old =
       static_cast<size_t>(config_.old_ratio * static_cast<double>(total));
-  while (old_.size() < target_old && !young_.empty()) {
-    Frame* f = young_.back();
-    young_.pop_back();
-    old_.push_front(f);
-    f->lru_pos = old_.begin();
+  while (old_.size < target_old && young_.tail != nullptr) {
+    Frame* f = young_.tail;
+    young_.Remove(f);
+    old_.PushFront(f);
     f->in_old.store(true, std::memory_order_relaxed);
   }
-  while (old_.size() > target_old + 1 && !old_.empty()) {
-    Frame* f = old_.front();
-    old_.pop_front();
-    young_.push_back(f);
-    f->lru_pos = std::prev(young_.end());
+  while (old_.size > target_old + 1 && old_.head != nullptr) {
+    Frame* f = old_.head;
+    old_.Remove(f);
+    young_.PushBack(f);
     f->in_old.store(false, std::memory_order_relaxed);
   }
 }
@@ -117,9 +159,8 @@ void BufferPool::MoveToYoungHeadLocked(Frame* frame) {
     // sublist, so a young hit is a no-op.
     return;
   }
-  old_.erase(frame->lru_pos);
-  young_.push_front(frame);
-  frame->lru_pos = young_.begin();
+  old_.Remove(frame);
+  young_.PushFront(frame);
   frame->in_old.store(false, std::memory_order_relaxed);
   BalanceListsLocked();
 }
@@ -182,9 +223,8 @@ void BufferPool::MakeYoung(Frame* frame) {
 }
 
 BufferPool::Frame* BufferPool::PickVictimLocked() {
-  auto scan = [&](std::list<Frame*>& list) -> Frame* {
-    for (auto it = list.rbegin(); it != list.rend(); ++it) {
-      Frame* f = *it;
+  auto scan = [&](LruList& list) -> Frame* {
+    for (Frame* f = list.tail; f != nullptr; f = f->lru_prev) {
       // Pin/io_fix checks and the table erase are one bucket critical
       // section, so a racing Fetch either pins before we look (we skip) or
       // misses after the erase (it re-reads the page).
@@ -195,7 +235,7 @@ BufferPool::Frame* BufferPool::PickVictimLocked() {
         return true;
       });
       if (!evicted) continue;
-      list.erase(std::next(it).base());
+      list.Remove(f);
       resident_.fetch_sub(1, std::memory_order_relaxed);
       return f;
     }
@@ -224,7 +264,8 @@ Status BufferPool::Fetch(PageId id) {
         return;
       }
       if (entry->io_fixed) {
-        io_wait = true;  // another thread is reading this page in
+        ++entry->io_waiters;  // the publisher notifies only if counted
+        io_wait = true;       // another thread is reading this page in
         return;
       }
       ++entry->pin_count;
@@ -250,9 +291,18 @@ Status BufferPool::Fetch(PageId id) {
   stats_.misses.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.misses);
 
-  // Make room. Eviction uses a blocking LRU acquisition even in LLU mode
-  // (LLU only bounds the make-young reorder).
-  while (resident_.load(std::memory_order_relaxed) >= config_.capacity_pages) {
+  // Make room: claim a frame slot with a CAS, evicting while none is free,
+  // so concurrent misses cannot push residency past capacity. Eviction uses
+  // a blocking LRU acquisition even in LLU mode (LLU only bounds the
+  // make-young reorder).
+  for (size_t r = resident_.load(std::memory_order_relaxed);;) {
+    if (r < config_.capacity_pages) {
+      if (resident_.compare_exchange_weak(r, r + 1,
+                                          std::memory_order_relaxed)) {
+        break;
+      }
+      continue;
+    }
     Frame* victim = nullptr;
     {
       TPROF_SCOPE("buf_LRU_get_free_block");
@@ -263,7 +313,10 @@ Status BufferPool::Fetch(PageId id) {
       victim = PickVictimLocked();
       LruUnlock();
     }
-    if (victim == nullptr) break;  // everything pinned; tolerate overshoot
+    if (victim == nullptr) {  // everything pinned; tolerate overshoot
+      resident_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    }
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.evictions);
     if (victim->dirty) {
@@ -290,6 +343,7 @@ Status BufferPool::Fetch(PageId id) {
       }
     }
     delete victim;
+    r = resident_.load(std::memory_order_relaxed);
   }
 
   // "Read" the page.
@@ -313,6 +367,7 @@ Status BufferPool::Fetch(PageId id) {
         entry->erased = true;
         return true;
       });
+      resident_.fetch_sub(1, std::memory_order_relaxed);
       { std::lock_guard<std::mutex> g(io_mu_); }
       io_cv_.notify_all();
       delete nf;
@@ -328,19 +383,23 @@ Status BufferPool::Fetch(PageId id) {
       TPROF_SCOPE("buf_pool_mutex_enter");
       LruLockBlocking();
     }
-    old_.push_front(nf);
-    nf->lru_pos = old_.begin();
+    old_.PushFront(nf);
     nf->in_old.store(true, std::memory_order_relaxed);
     nf->in_lru = true;
-    resident_.fetch_add(1, std::memory_order_relaxed);
     BalanceListsLocked();
     SpinFor(config_.lru_critical_work_ns);  // insertion bookkeeping
     LruUnlock();
   }
 
-  table_.WithSlotIfPresent(id, [](Frame*& entry) { entry->io_fixed = false; });
-  { std::lock_guard<std::mutex> g(io_mu_); }
-  io_cv_.notify_all();
+  bool has_waiters = false;
+  table_.WithSlotIfPresent(id, [&](Frame*& entry) {
+    entry->io_fixed = false;
+    has_waiters = entry->io_waiters > 0;
+  });
+  if (has_waiters) {
+    { std::lock_guard<std::mutex> g(io_mu_); }
+    io_cv_.notify_all();
+  }
   return Status::OK();
 }
 
@@ -376,9 +435,18 @@ size_t BufferPool::resident_pages() const {
 std::pair<size_t, size_t> BufferPool::SublistLengths() const {
   auto* self = const_cast<BufferPool*>(this);
   self->LruLockBlocking();
-  std::pair<size_t, size_t> out{young_.size(), old_.size()};
+  std::pair<size_t, size_t> out{young_.size, old_.size};
   self->LruUnlock();
   return out;
+}
+
+size_t BufferPool::PinnedPages() const {
+  auto* self = const_cast<BufferPool*>(this);
+  size_t pinned = 0;
+  self->table_.ForEach([&](const PageId&, Frame*& entry) {
+    if (entry->pin_count > 0) ++pinned;
+  });
+  return pinned;
 }
 
 bool BufferPool::InOldSublist(PageId id) const {

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -153,7 +152,10 @@ class BufferPool {
   /// LLU mode or when the thread's backlog is empty.
   void FlushBacklog();
 
+  /// Frames held: pages in the LRU lists plus misses reading a page in.
   size_t resident_pages() const;
+  /// Pages with a non-zero pin count — for invariant checks in tests.
+  size_t PinnedPages() const;
   /// (young length, old length) — for invariant checks in tests.
   std::pair<size_t, size_t> SublistLengths() const;
   /// True if `id` is resident and currently in the old sublist.
@@ -163,12 +165,27 @@ class BufferPool {
   struct Frame {
     PageId id;
     int pin_count = 0;       // guarded by its page-hash bucket lock
+    int io_waiters = 0;      // guarded by its page-hash bucket lock
     bool io_fixed = false;   // guarded by its page-hash bucket lock
     bool dirty = false;      // guarded by its page-hash bucket lock
     bool erased = false;     // guarded by its page-hash bucket lock
     std::atomic<bool> in_old{false};
     bool in_lru = false;     // guarded by the LRU lock
-    std::list<Frame*>::iterator lru_pos;  // guarded by the LRU lock
+    Frame* lru_prev = nullptr;  // guarded by the LRU lock
+    Frame* lru_next = nullptr;  // guarded by the LRU lock
+  };
+
+  /// Intrusive doubly linked sublist threaded through Frame::lru_prev/next,
+  /// so LRU surgery under the LRU lock never calls the allocator. Guarded
+  /// by the LRU lock.
+  struct LruList {
+    Frame* head = nullptr;
+    Frame* tail = nullptr;
+    size_t size = 0;
+
+    void PushFront(Frame* f);
+    void PushBack(Frame* f);
+    void Remove(Frame* f);
   };
 
   // --- LRU lock: mutex (original) or bounded spin (LLU) -------------------
@@ -207,16 +224,20 @@ class BufferPool {
   ShardedHashTable<PageId, Frame*, PageIdHash> table_;
 
   /// io_fix waiters park here (bucket spinlocks cannot host a condvar).
-  /// Publishers clear io_fixed under the bucket lock, then notify; waiters
-  /// use a bounded wait_for + re-check loop, so a missed notify costs at
-  /// most one bound, never a hang.
+  /// A waiter bumps its frame's io_waiters under the bucket lock; the
+  /// publisher clears io_fixed under the same lock and takes io_mu_ to
+  /// notify only when that count is non-zero, so an uncontended miss never
+  /// touches io_mu_. Waiters use a bounded wait_for + re-check loop, so a
+  /// missed notify costs at most one bound, never a hang.
   std::mutex io_mu_;
   std::condition_variable io_cv_;
 
   std::mutex lru_mu_;       ///< Original-mode LRU ("buf_pool") mutex.
   SpinLock lru_spin_;       ///< LLU-mode LRU lock.
-  std::list<Frame*> young_;
-  std::list<Frame*> old_;
+  LruList young_;
+  LruList old_;
+  /// Frame slots claimed (see resident_pages); a miss claims one before
+  /// its read, PickVictimLocked and a failed read give one back.
   std::atomic<size_t> resident_{0};
 
   Stats stats_;

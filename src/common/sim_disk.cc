@@ -11,8 +11,10 @@ SimDisk::SimDisk(SimDiskConfig config)
     : config_(config), rng_(config.seed) {}
 
 int64_t SimDisk::SampleServiceNanos(uint64_t bytes, int64_t extra_ns) {
-  double jitter;
-  {
+  // LogNormal(0, 0) is exactly 1: a deterministic device skips the shared
+  // generator and its lock.
+  double jitter = 1.0;
+  if (config_.sigma != 0) {
     std::lock_guard<std::mutex> g(rng_mu_);
     jitter = rng_.LogNormal(0.0, config_.sigma);
   }
@@ -32,6 +34,34 @@ int64_t SimDisk::StallRemainingNanos() const {
   return f != nullptr ? f->StallRemainingNanos(NowNanos()) : 0;
 }
 
+bool SimDisk::TryAcquireSlot(int slots) {
+  int cur = active_.load(std::memory_order_seq_cst);
+  while (cur < slots) {
+    if (active_.compare_exchange_weak(cur, cur + 1,
+                                      std::memory_order_seq_cst)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void SimDisk::AcquireSlot(int slots) {
+  if (TryAcquireSlot(slots)) return;
+  std::unique_lock<std::mutex> lk(device_mu_);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  device_cv_.wait(lk, [&] { return TryAcquireSlot(slots); });
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void SimDisk::ReleaseSlot() {
+  active_.fetch_sub(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
+  // The empty critical section orders this notify after a sleeper that
+  // counted itself but has not yet blocked: it holds device_mu_ until then.
+  { std::lock_guard<std::mutex> g(device_mu_); }
+  device_cv_.notify_one();
+}
+
 Status SimDisk::Service(IoOp op, uint64_t bytes, int64_t extra_ns) {
   // After the simulated crash instant the device is gone: nothing reaches
   // the medium, every request fails immediately (docs/recovery.md). The
@@ -41,23 +71,17 @@ Status SimDisk::Service(IoOp op, uint64_t bytes, int64_t extra_ns) {
     stats_.bytes_lost.fetch_add(bytes, std::memory_order_relaxed);
     return Status::IOError("simdisk: crashed");
   }
-  const int64_t start = NowNanos();
+  FaultInjector* injector = config_.fault;
+  const int64_t start = injector != nullptr ? NowNanos() : 0;
   waiting_.fetch_add(1, std::memory_order_relaxed);
-  const int slots = config_.max_concurrency < 1 ? 1 : config_.max_concurrency;
-  {
-    std::unique_lock<std::mutex> lk(device_mu_);
-    device_cv_.wait(lk, [&] { return active_ < slots; });
-    ++active_;
-  }
+  AcquireSlot(config_.max_concurrency < 1 ? 1 : config_.max_concurrency);
   // The slot is held for the whole service time: a request being serviced
   // keeps the device busy even when nothing queues behind it.
   waiting_.fetch_sub(1, std::memory_order_relaxed);
-  in_service_.fetch_add(1, std::memory_order_relaxed);
 
   int64_t service = SampleServiceNanos(bytes, extra_ns);
   bool fail = false;
   uint64_t effective_bytes = bytes;
-  FaultInjector* injector = config_.fault;
   if (injector != nullptr && injector->armed()) {
     const FaultInjector::Perturbation p = injector->Evaluate(op, start);
     if (p.latency_multiplier > 1.0) {
@@ -78,12 +102,7 @@ Status SimDisk::Service(IoOp op, uint64_t bytes, int64_t extra_ns) {
     }
   }
   std::this_thread::sleep_for(std::chrono::nanoseconds(service));
-  {
-    std::lock_guard<std::mutex> g(device_mu_);
-    --active_;
-  }
-  device_cv_.notify_one();
-  in_service_.fetch_sub(1, std::memory_order_relaxed);
+  ReleaseSlot();
   stats_.bytes.fetch_add(effective_bytes, std::memory_order_relaxed);
   if (fail) {
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);

@@ -1,8 +1,11 @@
 // SimDisk: the storage-device substitute (see DESIGN.md §2).
 //
-// A serialized device: one request is serviced at a time, so concurrent
-// writers queue on the device mutex exactly like transactions queueing on a
-// busy disk. Service time = seek/setup base time drawn from a lognormal
+// A serialized device: at most max_concurrency requests (1 by default) are
+// serviced at a time, so concurrent writers queue for a device slot exactly
+// like transactions queueing on a busy disk. A request claims a slot with a
+// compare-and-swap on the slot count and sleeps on the device mutex only
+// when every slot is busy; a finishing request takes that mutex only when a
+// sleeper exists. Service time = seek/setup base time drawn from a lognormal
 // (disk latency is heavy-tailed) plus a bandwidth term proportional to the
 // request size. Sleeping (not spinning) models the thread blocking in I/O.
 //
@@ -67,13 +70,11 @@ class SimDisk {
   /// the parallel-logging policy ("the one with fewer waiters", §6.2).
   int queue_length() const {
     return waiting_.load(std::memory_order_relaxed) +
-           in_service_.load(std::memory_order_relaxed);
+           active_.load(std::memory_order_relaxed);
   }
 
   /// Requests currently being serviced (holding a device slot).
-  int in_service() const {
-    return in_service_.load(std::memory_order_relaxed);
-  }
+  int in_service() const { return active_.load(std::memory_order_relaxed); }
 
   /// True iff no request is queued *or in service* (best-effort). A device
   /// mid-request is busy even when nothing waits behind it.
@@ -103,15 +104,26 @@ class SimDisk {
  private:
   Status Service(IoOp op, uint64_t bytes, int64_t extra_ns);
   int64_t SampleServiceNanos(uint64_t bytes, int64_t extra_ns);
+  /// Claims a device slot if one of `slots` is free (CAS on active_).
+  bool TryAcquireSlot(int slots);
+  /// Blocks until a slot is claimed: the CAS fast path, else a sleep on
+  /// device_cv_ counted in sleepers_.
+  void AcquireSlot(int slots);
+  /// Frees a slot and wakes one sleeper, if any.
+  void ReleaseSlot();
 
   SimDiskConfig config_;
-  std::mutex device_mu_;  ///< Admission control (see max_concurrency).
+  // Admission (see max_concurrency). active_ and sleepers_ use sequentially
+  // consistent operations: a releaser decrements active_ then reads
+  // sleepers_, a sleeper increments sleepers_ (under device_mu_) then reads
+  // active_, so at least one of them sees the other and no wakeup is lost.
+  std::atomic<int> active_{0};   ///< Slots held (requests in service).
+  std::atomic<int> sleepers_{0};  ///< Requests asleep on device_cv_.
+  std::mutex device_mu_;
   std::condition_variable device_cv_;
-  int active_ = 0;
-  std::mutex rng_mu_;
+  std::mutex rng_mu_;  ///< Guards rng_ (unused when sigma == 0).
   Rng rng_;
   std::atomic<int> waiting_{0};
-  std::atomic<int> in_service_{0};
   Stats stats_;
 };
 

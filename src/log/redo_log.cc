@@ -138,10 +138,18 @@ void RedoLog::DrainEpoch() {
 }
 
 void RedoLog::AdvanceDurableLocked(uint64_t floor) {
-  uint64_t d = std::max(durable_lsn_.load(std::memory_order_relaxed), floor);
+  const uint64_t before = durable_lsn_.load(std::memory_order_relaxed);
+  uint64_t d = std::max(before, floor);
   while (!completed_lsns_.empty() && *completed_lsns_.begin() <= d + 1) {
     if (*completed_lsns_.begin() == d + 1) ++d;
     completed_lsns_.erase(completed_lsns_.begin());
+  }
+  if (d > before) {
+    // Every LSN up to d was appended under mu_, so its end offset is queued.
+    const auto newly_durable = static_cast<ptrdiff_t>(d - before);
+    durable_end_ = pending_ends_[static_cast<size_t>(newly_durable - 1)];
+    pending_ends_.erase(pending_ends_.begin(),
+                        pending_ends_.begin() + newly_durable);
   }
   AtomicMax(&durable_lsn_, d);
 }
@@ -260,7 +268,7 @@ Status RedoLog::ForceDurable() {
 }
 
 uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
-                         std::vector<RedoOp> ops, AckFn* park) {
+                         const std::vector<RedoOp>& ops, AckFn* park) {
   uint64_t lsn;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -269,8 +277,7 @@ uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
     // reaches the device. LSN assignment and the append share mu_, so frame
     // order in image_ is LSN order.
     AppendLogFrame(lsn, txn_id, ops, &image_);
-    records_.push_back(
-        Record{txn_id, lsn, bytes, std::move(ops), image_.size()});
+    pending_ends_.push_back(image_.size());
     unwritten_bytes_ += bytes;
     // running_ is re-checked here: once Stop() has flipped it, parking
     // would strand the ack past Stop's drain, so the caller flushes itself.
@@ -289,7 +296,7 @@ uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
 uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
                          std::vector<RedoOp> ops) {
   TPROF_SCOPE("log_write_up_to");
-  const uint64_t my_lsn = Append(txn_id, bytes, std::move(ops), nullptr);
+  const uint64_t my_lsn = Append(txn_id, bytes, ops, nullptr);
   switch (config_.policy) {
     case FlushPolicy::kLazyWrite:
       // Both the write and the flush are the flusher's job.
@@ -369,7 +376,7 @@ uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
 uint64_t RedoLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
                               std::vector<RedoOp> ops, AckFn ack) {
   TPROF_SCOPE("log_write_up_to");
-  const uint64_t my_lsn = Append(txn_id, bytes, std::move(ops), &ack);
+  const uint64_t my_lsn = Append(txn_id, bytes, ops, &ack);
   stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.async_commits);
   if (ack) {
@@ -385,7 +392,7 @@ uint64_t RedoLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
 }
 
 std::vector<RecoveredTxn> RedoLog::RecoverCommitted() {
-  // Recover through the framed image rather than the in-memory records so
+  // The framed image is the log's only record of a commit's payload, so
   // every recovery — test or crash harness — pays the checksum toll.
   const std::vector<uint8_t> image = CrashImage();
   std::vector<RecoveredTxn> out;
@@ -396,13 +403,8 @@ std::vector<RecoveredTxn> RedoLog::RecoverCommitted() {
 std::vector<uint8_t> RedoLog::CrashImage(uint64_t extra_tail_bytes) {
   Stop();
   std::lock_guard<std::mutex> g(mu_);
-  const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-  // LSNs are dense from 1 in append order, so the durable LSN's frame ends
-  // at records_[durable - 1].image_end.
-  const size_t durable_end =
-      durable == 0 ? 0 : records_[static_cast<size_t>(durable) - 1].image_end;
-  const size_t end =
-      std::min(image_.size(), durable_end + static_cast<size_t>(extra_tail_bytes));
+  const size_t end = std::min(
+      image_.size(), durable_end_ + static_cast<size_t>(extra_tail_bytes));
   return std::vector<uint8_t>(image_.begin(),
                               image_.begin() + static_cast<ptrdiff_t>(end));
 }
@@ -415,24 +417,22 @@ size_t RedoLog::image_bytes() {
 size_t RedoLog::CopyDurablePrefix(size_t from, std::vector<uint8_t>* out,
                                   uint64_t* durable_lsn) {
   std::lock_guard<std::mutex> g(mu_);
-  const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
-  const size_t durable_end =
-      durable == 0 ? 0 : records_[static_cast<size_t>(durable) - 1].image_end;
-  if (durable_lsn != nullptr) *durable_lsn = durable;
-  if (out != nullptr && from < durable_end) {
-    out->insert(out->end(), image_.begin() + static_cast<ptrdiff_t>(from),
-                image_.begin() + static_cast<ptrdiff_t>(durable_end));
+  if (durable_lsn != nullptr) {
+    *durable_lsn = durable_lsn_.load(std::memory_order_relaxed);
   }
-  return durable_end;
+  if (out != nullptr && from < durable_end_) {
+    out->insert(out->end(), image_.begin() + static_cast<ptrdiff_t>(from),
+                image_.begin() + static_cast<ptrdiff_t>(durable_end_));
+  }
+  return durable_end_;
 }
 
 std::vector<uint64_t> RedoLog::SimulateCrash() {
-  Stop();
-  const uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
+  // The survivors are the frames of the durable image prefix; decode their
+  // txn ids as recovery would.
   std::vector<uint64_t> survivors;
-  std::lock_guard<std::mutex> g(mu_);
-  for (const Record& r : records_) {
-    if (r.lsn <= durable) survivors.push_back(r.txn_id);
+  for (const RecoveredTxn& t : RecoverCommitted()) {
+    survivors.push_back(t.txn_id);
   }
   return survivors;
 }

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -92,7 +93,8 @@ class RedoLog {
 
   /// Appends `txn_id`'s commit record of `bytes` redo and applies the
   /// configured policy. Returns the record's LSN. `ops` (optional) is the
-  /// transaction's logical redo payload, kept for crash recovery.
+  /// transaction's logical redo payload, framed into the log image for
+  /// crash recovery.
   uint64_t Commit(uint64_t txn_id, uint64_t bytes,
                   std::vector<RedoOp> ops = {});
 
@@ -166,21 +168,13 @@ class RedoLog {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Record {
-    uint64_t txn_id;
-    uint64_t lsn;
-    uint64_t bytes;
-    std::vector<RedoOp> ops;
-    size_t image_end;  ///< End offset of this record's frame in image_.
-  };
-
   /// The append step Commit and CommitAsync share: assigns the next LSN,
   /// frames the record into image_ and queues its bytes, all under mu_.
   /// When `park` is non-null and the epoch thread is running, also moves
   /// *park onto the epoch (leaving it empty) under the same mu_, so parked
   /// acks stay in LSN order. Returns the LSN.
-  uint64_t Append(uint64_t txn_id, uint64_t bytes, std::vector<RedoOp> ops,
-                  AckFn* park);
+  uint64_t Append(uint64_t txn_id, uint64_t bytes,
+                  const std::vector<RedoOp>& ops, AckFn* park);
   /// Writes (if needed) and flushes everything up to the current end of log.
   /// Called by commit leaders and the background flusher. Returns non-OK
   /// only in fallback mode, when the device stalled past the deadline or a
@@ -198,7 +192,8 @@ class RedoLog {
   /// `lose_rest` (ParkedAcks::Partition under mu_).
   TakenAcks TakeParked(bool lose_rest);
   /// Advances durable_lsn_ to `floor`, then further across the contiguous
-  /// prefix of out-of-order per-commit flush completions (completed_lsns_).
+  /// prefix of out-of-order per-commit flush completions (completed_lsns_),
+  /// and moves durable_end_ to the end of the last durable frame.
   /// durable_lsn_ is a *prefix* claim — every LSN <= durable is on the
   /// device — so it must never skip over an LSN whose bytes a concurrent
   /// committer has not flushed yet (or failed to flush). Caller holds mu_.
@@ -206,11 +201,11 @@ class RedoLog {
 
   RedoLogConfig config_;
 
-  std::mutex mu_;  ///< Guards records_, image_ and the LSN advance protocol.
+  std::mutex mu_;  ///< Guards image_, the frame offsets and the LSN advance
+                   ///< protocol.
   std::condition_variable flush_cv_;
   bool flush_in_progress_ = false;
   uint64_t unwritten_bytes_ = 0;  ///< Appended but not yet written.
-  std::vector<Record> records_;
   /// Per-commit fsync completions that landed beyond the durable prefix
   /// (an earlier committer's bytes are still in flight or failed). Drained
   /// into durable_lsn_ by AdvanceDurableLocked once the gap closes.
@@ -219,9 +214,15 @@ class RedoLog {
   /// them, or at Stop or a crashed flush (non-OK if never durable).
   ParkedAcks parked_;
   /// The framed byte image of the log "file" (docs/recovery.md). LSNs are
-  /// assigned under mu_ in append order, so frame order == LSN order and
-  /// records_[lsn - 1].image_end maps the durable LSN to a byte offset.
+  /// assigned under mu_ in append order, so frame order == LSN order.
   std::vector<uint8_t> image_;
+  /// End offset in image_ of each frame not yet durable:
+  /// pending_ends_[i] ends LSN durable_lsn_ + 1 + i. AdvanceDurableLocked
+  /// retires entries as the durable mark passes them, so nothing per commit
+  /// outlives its flush except the frame bytes.
+  std::deque<size_t> pending_ends_;
+  /// End offset in image_ of the durable prefix (the frame of durable_lsn_).
+  size_t durable_end_ = 0;
 
   std::atomic<uint64_t> next_lsn_{1};
   std::atomic<uint64_t> written_lsn_{0};

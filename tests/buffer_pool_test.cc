@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
+
+#include "common/fault.h"
+#include "common/random.h"
 
 namespace tdp::buffer {
 namespace {
@@ -166,6 +170,90 @@ TEST(BufferPoolTest, ConcurrentMixedWorkloadInvariants) {
   auto [young, old] = pool.SublistLengths();
   EXPECT_EQ(young + old, pool.resident_pages());
 }
+
+// A miss storm: a few threads over pages far beyond capacity on a
+// zero-latency device, with a read-error window armed, so misses, evictions,
+// dirty writebacks, io-fix waits on hot pages and failed-read unpublishes
+// all interleave. Run in both locking modes.
+class BufferPoolMissStormTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BufferPoolMissStormTest, QuiescesConsistent) {
+  FaultInjector inj;
+  inj.AddReadError(0, MillisToNanos(60000), 0.25);
+  SimDiskConfig dcfg;
+  dcfg.base_latency_ns = 0;
+  dcfg.sigma = 0;
+  dcfg.flush_barrier_ns = 0;
+  dcfg.bytes_per_us = 1e9;
+  dcfg.max_concurrency = 2;
+  dcfg.fault = &inj;
+  SimDisk disk(dcfg);
+  constexpr size_t kCapacity = 16;
+  BufferPoolConfig cfg = SmallPool(kCapacity, &disk);
+  cfg.lazy_lru = GetParam();
+  cfg.io_retry.max_attempts = 2;
+  cfg.io_retry.backoff_ns = 0;
+  BufferPool pool(cfg);
+  inj.Arm();
+
+  constexpr int kThreads = 4, kIters = 3000;
+  std::atomic<uint64_t> ok{0}, io_errors{0}, unexpected{0};
+  std::atomic<size_t> max_resident{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < kIters; ++i) {
+        // Half the traffic on 24 hot pages (concurrent misses on one page
+        // park on its io-fix), half spread over 1024 (every access misses).
+        const PageId id = P(rng.Uniform(2) == 0 ? rng.Uniform(24)
+                                                : 24 + rng.Uniform(1000));
+        const Status s = pool.Fetch(id);
+        const size_t resident = pool.resident_pages();
+        size_t seen = max_resident.load();
+        while (resident > seen &&
+               !max_resident.compare_exchange_weak(seen, resident)) {
+        }
+        if (s.code() == Code::kIOError) {
+          io_errors.fetch_add(1);
+          continue;
+        }
+        if (!s.ok()) {
+          unexpected.fetch_add(1);
+          continue;
+        }
+        ok.fetch_add(1);
+        if (i % 4 == 0) pool.MarkDirty(id);
+        pool.Unpin(id);
+      }
+      pool.FlushBacklog();
+    });
+  }
+  for (auto& t : ts) t.join();
+
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_EQ(ok.load() + io_errors.load(),
+            static_cast<uint64_t>(kThreads) * kIters);
+  EXPECT_GT(io_errors.load(), 0u);
+  EXPECT_EQ(pool.stats().read_failures.load(), io_errors.load());
+  EXPECT_GT(pool.stats().evictions.load(), 0u);
+  EXPECT_GT(pool.stats().dirty_writebacks.load(), 0u);
+  // Concurrent misses never overshot capacity: each thread holds at most
+  // one pin, so a victim always existed.
+  EXPECT_LE(max_resident.load(), kCapacity);
+  // Quiesced: every pin was released and the LRU lists hold exactly the
+  // resident frames.
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+  auto [young, old] = pool.SublistLengths();
+  EXPECT_EQ(young + old, pool.resident_pages());
+  EXPECT_LE(pool.resident_pages(), kCapacity);
+  EXPECT_EQ(disk.in_service(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, BufferPoolMissStormTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "LLU" : "Original";
+                         });
 
 }  // namespace
 }  // namespace tdp::buffer

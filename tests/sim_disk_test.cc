@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/fault.h"
 
 namespace tdp {
 namespace {
@@ -139,6 +141,97 @@ TEST(SimDiskTest, DeterministicWithSameSeed) {
   a.Write(100);
   b.Write(100);
   EXPECT_EQ(a.stats().writes.load(), b.stats().writes.load());
+}
+
+TEST(SimDiskTest, AdmissionNeverExceedsMaxConcurrency) {
+  SimDiskConfig cfg = FastDisk();
+  cfg.sigma = 0.0;
+  cfg.base_latency_ns = 100000;  // 100 us
+  cfg.max_concurrency = 2;
+  SimDisk disk(cfg);
+  constexpr int kThreads = 8, kOps = 20;
+  std::atomic<int> max_seen{0};
+  std::atomic<bool> done{false};
+  auto observe = [&] {
+    const int n = disk.in_service();
+    int cur = max_seen.load();
+    while (n > cur && !max_seen.compare_exchange_weak(cur, n)) {
+    }
+  };
+  std::thread monitor([&] {
+    while (!done.load()) observe();
+  });
+  const int64_t t0 = NowNanos();
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i) {
+    ts.emplace_back([&] {
+      for (int k = 0; k < kOps; ++k) {
+        disk.Write(0);
+        observe();
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  const int64_t elapsed = NowNanos() - t0;
+  done.store(true);
+  monitor.join();
+  EXPECT_LE(max_seen.load(), 2);
+  EXPECT_GE(max_seen.load(), 1);
+  // Two slots serve 160 requests of 100 us in no less than 8 ms.
+  EXPECT_GE(elapsed, kThreads * kOps / 2 * cfg.base_latency_ns);
+  EXPECT_EQ(disk.stats().writes.load(), static_cast<uint64_t>(kThreads) * kOps);
+  EXPECT_TRUE(disk.idle());
+}
+
+TEST(SimDiskTest, ZeroLatencyAdmissionLosesNoWakeup) {
+  // Zero-latency requests on one slot: admission churns between the CAS
+  // fast path and sleeping, as fast as the threads can go. A lost wakeup
+  // leaves a thread asleep forever (the ctest timeout catches it).
+  SimDiskConfig cfg;
+  cfg.base_latency_ns = 0;
+  cfg.sigma = 0;
+  cfg.flush_barrier_ns = 0;
+  cfg.bytes_per_us = 1e9;
+  cfg.max_concurrency = 1;
+  SimDisk disk(cfg);
+  constexpr int kThreads = 8, kOps = 5000;
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i) {
+    ts.emplace_back([&] {
+      for (int k = 0; k < kOps; ++k) disk.Read(0);
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(disk.stats().reads.load(), static_cast<uint64_t>(kThreads) * kOps);
+  EXPECT_TRUE(disk.idle());
+}
+
+TEST(SimDiskTest, WaitersBehindAStallAllCompleteAfterItClears) {
+  FaultInjector inj;
+  inj.AddStall(0, MillisToNanos(20));
+  SimDiskConfig cfg = FastDisk();
+  cfg.sigma = 0.0;
+  cfg.base_latency_ns = 1000;
+  cfg.max_concurrency = 2;
+  cfg.fault = &inj;
+  SimDisk disk(cfg);
+  inj.Arm();
+  const int64_t stall_end = NowNanos() + MillisToNanos(20);
+  constexpr int kThreads = 8;
+  std::vector<int64_t> done_at(kThreads);
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i) {
+    ts.emplace_back([&, i] {
+      disk.Write(0);
+      done_at[i] = NowNanos();
+    });
+  }
+  for (auto& t : ts) t.join();
+  // Two requests hold the slots through the stall; the other six sleep on
+  // admission and must each be woken once a slot frees.
+  for (int64_t t : done_at) EXPECT_GE(t, stall_end - MillisToNanos(1));
+  EXPECT_EQ(disk.stats().writes.load(), static_cast<uint64_t>(kThreads));
+  EXPECT_TRUE(disk.idle());
 }
 
 }  // namespace
