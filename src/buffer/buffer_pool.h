@@ -6,7 +6,8 @@
 // old sublist; a hit on an old page moves it to the head of the young list
 // ("make young"), which requires the pool's LRU mutex — the contention point
 // Table 1 identifies as buf_pool_mutex_enter. Eviction victims come from the
-// old list's tail.
+// old list's tail. Like InnoDB's, the mutex spins briefly before it sleeps
+// (tdp::SpinParkMutex).
 //
 // LLU replaces the LRU mutex with a spin lock bounded by a small budget
 // (default 0.01 ms). If the budget is exhausted the page id is pushed onto a
@@ -232,7 +233,7 @@ class BufferPool {
   std::mutex io_mu_;
   std::condition_variable io_cv_;
 
-  std::mutex lru_mu_;       ///< Original-mode LRU ("buf_pool") mutex.
+  SpinParkMutex lru_mu_;    ///< Original-mode LRU ("buf_pool") mutex.
   SpinLock lru_spin_;       ///< LLU-mode LRU lock.
   LruList young_;
   LruList old_;

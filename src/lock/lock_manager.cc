@@ -424,7 +424,6 @@ Status LockManager::Lock(TxnContext* txn, RecordId rec, LockMode mode) {
 
   const int state = req->state.load(std::memory_order_acquire);
   const int64_t wait_ns = NowNanos() - wait_start;
-  wait_times_.Add(wait_ns);
   metrics::Observe(m_.wait_ns, wait_ns);
 
   Status result = Status::OK();

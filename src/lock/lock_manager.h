@@ -30,7 +30,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/sharded_hash_table.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "lock/deadlock.h"
 #include "lock/lock_mode.h"
@@ -159,8 +158,6 @@ class LockManager {
     std::atomic<uint64_t> upgrades{0};
   };
   const Stats& stats() const { return stats_; }
-  /// Wait durations of all suspended requests (ns).
-  const LatencySample& wait_times() const { return wait_times_; }
 
   /// Number of granted + waiting requests on `rec` (tests/debug).
   std::pair<size_t, size_t> QueueDepths(RecordId rec) const;
@@ -265,7 +262,6 @@ class LockManager {
     Histogram* wait_ns = nullptr;
   };
   MetricHandles m_;
-  LatencySample wait_times_;
   std::function<void(const WaitObservation&)> observer_;
   mutable std::mutex observer_mu_;
 };

@@ -29,32 +29,86 @@ uint64_t GetU64(const uint8_t* p) {
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
+namespace {
+
+/// Offset of the crc field in a frame header (after lsn and payload_len).
+constexpr size_t kCrcOffset = 12;
+
+void StoreU32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+
+void StoreU64(uint8_t* p, uint64_t v) {
+  StoreU32(p, static_cast<uint32_t>(v));
+  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
+/// Emits one frame field by field through put(const uint8_t*, size_t),
+/// with a zero placeholder where the checksum goes: the payload length is
+/// computed up front, so nothing is staged in a temporary buffer.
+template <class Put>
+void EncodeFrame(uint64_t lsn, uint64_t txn_id,
+                 const std::vector<RedoOp>& ops, Put&& put) {
+  uint8_t b[8];
+  const auto u32 = [&](uint32_t v) {
+    StoreU32(b, v);
+    put(b, 4);
+  };
+  const auto u64 = [&](uint64_t v) {
+    StoreU64(b, v);
+    put(b, 8);
+  };
+  size_t payload_len = 12;
+  for (const RedoOp& op : ops) payload_len += 17 + 8 * op.after.cols.size();
+  u64(lsn);
+  u32(static_cast<uint32_t>(payload_len));
+  u32(0);  // crc, filled in once the payload is down
+  u64(txn_id);
+  u32(static_cast<uint32_t>(ops.size()));
+  for (const RedoOp& op : ops) {
+    b[0] = static_cast<uint8_t>(op.kind);
+    put(b, 1);
+    u32(op.table);
+    u64(op.key);
+    u32(static_cast<uint32_t>(op.after.cols.size()));
+    for (int64_t c : op.after.cols) u64(static_cast<uint64_t>(c));
+  }
+}
+
+}  // namespace
+
+void AppendLogFrame(uint64_t lsn, uint64_t txn_id,
+                    const std::vector<RedoOp>& ops, LogImage* image) {
+  const size_t start = image->size();
+  EncodeFrame(lsn, txn_id, ops, [image](const uint8_t* p, size_t n) {
+    image->Append(p, n);
+  });
+  uint32_t crc = 0;
+  const auto extend = [&crc](const uint8_t* p, size_t n) {
+    crc = Crc32cExtend(crc, p, n);
+  };
+  image->ForEachSpan(start, start + kCrcOffset, extend);
+  image->ForEachSpan(start + kFrameHeaderBytes, image->size(), extend);
+  uint8_t b[4];
+  StoreU32(b, crc);
+  image->Overwrite(start + kCrcOffset, b, 4);
+}
+
 void AppendLogFrame(uint64_t lsn, uint64_t txn_id,
                     const std::vector<RedoOp>& ops,
                     std::vector<uint8_t>* image) {
-  std::vector<uint8_t> payload;
-  PutU64(&payload, txn_id);
-  PutU32(&payload, static_cast<uint32_t>(ops.size()));
-  for (const RedoOp& op : ops) {
-    payload.push_back(static_cast<uint8_t>(op.kind));
-    PutU32(&payload, op.table);
-    PutU64(&payload, op.key);
-    PutU32(&payload, static_cast<uint32_t>(op.after.cols.size()));
-    for (int64_t c : op.after.cols) {
-      PutU64(&payload, static_cast<uint64_t>(c));
-    }
-  }
-
-  std::vector<uint8_t> header;
-  header.reserve(kFrameHeaderBytes);
-  PutU64(&header, lsn);
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32cExtend(0, header.data(), header.size());
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  PutU32(&header, crc);
-
-  image->insert(image->end(), header.begin(), header.end());
-  image->insert(image->end(), payload.begin(), payload.end());
+  const size_t start = image->size();
+  EncodeFrame(lsn, txn_id, ops, [image](const uint8_t* p, size_t n) {
+    image->insert(image->end(), p, p + n);
+  });
+  uint8_t* frame = image->data() + start;
+  uint32_t crc = Crc32cExtend(0, frame, kCrcOffset);
+  crc = Crc32cExtend(crc, frame + kFrameHeaderBytes,
+                     image->size() - start - kFrameHeaderBytes);
+  StoreU32(frame + kCrcOffset, crc);
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // Self-describing, checksummed log-record framing (docs/recovery.md).
 //
 // Both engines' logs — log::RedoLog and pg::WalManager — serialize every
-// commit record into one frame of a flat byte image that stands in for the
-// on-disk log file:
+// commit record into one frame of a byte image (log::LogImage) that stands
+// in for the on-disk log file:
 //
 //   [u64 lsn][u32 payload_len][u32 crc32c(lsn ‖ payload_len ‖ payload)]
 //   [payload: u64 txn_id, u32 op_count, ops...]
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "log/log_image.h"
 #include "log/redo_record.h"
 
 namespace tdp::log {
@@ -36,7 +37,10 @@ void PutU64(std::vector<uint8_t>* buf, uint64_t v);
 uint32_t GetU32(const uint8_t* p);
 uint64_t GetU64(const uint8_t* p);
 
-/// Appends one framed commit record to `image`.
+/// Appends one framed commit record to `image`, encoding it in place.
+void AppendLogFrame(uint64_t lsn, uint64_t txn_id,
+                    const std::vector<RedoOp>& ops, LogImage* image);
+/// The same frame bytes appended to a contiguous buffer.
 void AppendLogFrame(uint64_t lsn, uint64_t txn_id,
                     const std::vector<RedoOp>& ops,
                     std::vector<uint8_t>* image);

@@ -403,10 +403,7 @@ std::vector<RecoveredTxn> RedoLog::RecoverCommitted() {
 std::vector<uint8_t> RedoLog::CrashImage(uint64_t extra_tail_bytes) {
   Stop();
   std::lock_guard<std::mutex> g(mu_);
-  const size_t end = std::min(
-      image_.size(), durable_end_ + static_cast<size_t>(extra_tail_bytes));
-  return std::vector<uint8_t>(image_.begin(),
-                              image_.begin() + static_cast<ptrdiff_t>(end));
+  return image_.Slice(durable_end_ + static_cast<size_t>(extra_tail_bytes));
 }
 
 size_t RedoLog::image_bytes() {
@@ -420,10 +417,7 @@ size_t RedoLog::CopyDurablePrefix(size_t from, std::vector<uint8_t>* out,
   if (durable_lsn != nullptr) {
     *durable_lsn = durable_lsn_.load(std::memory_order_relaxed);
   }
-  if (out != nullptr && from < durable_end_) {
-    out->insert(out->end(), image_.begin() + static_cast<ptrdiff_t>(from),
-                image_.begin() + static_cast<ptrdiff_t>(durable_end_));
-  }
+  if (out != nullptr) image_.CopyTo(from, durable_end_, out);
   return durable_end_;
 }
 

@@ -29,6 +29,7 @@
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/stats.h"
+#include "log/log_image.h"
 #include "log/redo_record.h"
 
 namespace tdp::log {
@@ -215,7 +216,7 @@ class RedoLog {
   ParkedAcks parked_;
   /// The framed byte image of the log "file" (docs/recovery.md). LSNs are
   /// assigned under mu_ in append order, so frame order == LSN order.
-  std::vector<uint8_t> image_;
+  LogImage image_;
   /// End offset in image_ of each frame not yet durable:
   /// pending_ends_[i] ends LSN durable_lsn_ + 1 + i. AdvanceDurableLocked
   /// retires entries as the durable mark passes them, so nothing per commit

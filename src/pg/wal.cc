@@ -313,10 +313,8 @@ std::vector<std::vector<uint8_t>> WalManager::CrashImages(
     LogSet* set = sets_[i].get();
     std::lock_guard<std::mutex> g(set->mu);
     const uint64_t extra = i < extra_tails.size() ? extra_tails[i] : 0;
-    const size_t end = std::min(
-        set->image.size(), set->durable_bytes + static_cast<size_t>(extra));
-    images.emplace_back(set->image.begin(),
-                        set->image.begin() + static_cast<ptrdiff_t>(end));
+    images.push_back(
+        set->image.Slice(set->durable_bytes + static_cast<size_t>(extra)));
   }
   return images;
 }

@@ -159,7 +159,7 @@ class WalManager {
     /// Framed log image for this set (guarded by mu). LSNs are globally
     /// assigned, so a set's image holds an increasing but gappy LSN
     /// subsequence; recovery merges the sets by LSN.
-    std::vector<uint8_t> image;
+    log::LogImage image;
     /// Bytes of `image` covered by a successful flush (guarded by mu). A
     /// flush is a device barrier for the whole set, so success advances
     /// this to image.size() — including frames from earlier degraded

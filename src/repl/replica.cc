@@ -36,7 +36,7 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
       // bytes existed only in the deposed leader's stream and the new
       // leader's frames will replace them.
       term_.store(term, std::memory_order_release);
-      image_.resize(durable);
+      image_.Truncate(durable);
     }
     if (base_offset < durable) {
       // Overlapping re-ship (leader re-anchored at an older offset): the
@@ -53,12 +53,12 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
         // Re-ship anchored at the watermark: the bytes past it are a torn
         // tail from a failed flush. Truncate before appending — the image
         // must never fork.
-        image_.resize(durable);
+        image_.Truncate(durable);
       } else {
         return Status::Aborted("non-contiguous ship");
       }
     }
-    image_.insert(image_.end(), data, data + size);
+    image_.Append(data, size);
   }
   // Disk I/O outside mu_: SimDisk sleeps for its simulated service time and
   // readers (CrashImage, watermark queries) must not block behind it. The
@@ -109,10 +109,7 @@ Status Replica::CatchUp(uint64_t term, const std::vector<uint8_t>& image,
 std::vector<uint8_t> Replica::CrashImage(uint64_t extra_tail_bytes) const {
   std::lock_guard<std::mutex> g(mu_);
   const size_t durable = durable_bytes_.load(std::memory_order_relaxed);
-  const size_t end = std::min(
-      image_.size(), durable + static_cast<size_t>(extra_tail_bytes));
-  return std::vector<uint8_t>(image_.begin(),
-                              image_.begin() + static_cast<ptrdiff_t>(end));
+  return image_.Slice(durable + static_cast<size_t>(extra_tail_bytes));
 }
 
 }  // namespace tdp::repl

@@ -33,6 +33,7 @@
 #include "common/metrics.h"
 #include "common/sim_disk.h"
 #include "common/status.h"
+#include "log/log_image.h"
 
 namespace tdp::repl {
 
@@ -118,7 +119,7 @@ class Replica {
   /// thread and a recovery-time CatchUp must not interleave appends.
   std::mutex ship_mu_;
   mutable std::mutex mu_;  ///< Guards image_ and the watermark advance.
-  std::vector<uint8_t> image_;
+  log::LogImage image_;
   std::atomic<uint64_t> term_{0};
   std::atomic<uint64_t> durable_lsn_{0};
   std::atomic<size_t> durable_bytes_{0};

@@ -1,5 +1,8 @@
 #include "storage/catalog.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace tdp::storage {
 
 Table* Catalog::CreateTable(const std::string& name, uint64_t rows_per_page) {
@@ -7,8 +10,13 @@ Table* Catalog::CreateTable(const std::string& name, uint64_t rows_per_page) {
   auto it = by_name_.find(name);
   if (it != by_name_.end()) return tables_[it->second].get();
   const uint32_t id = static_cast<uint32_t>(tables_.size());
+  if (id >= kMaxTables) {
+    std::fprintf(stderr, "Catalog: more than %zu tables\n", kMaxTables);
+    std::abort();
+  }
   tables_.push_back(std::make_unique<Table>(id, name, rows_per_page));
   by_name_.emplace(name, id);
+  slots_[id].store(tables_.back().get(), std::memory_order_release);
   return tables_.back().get();
 }
 
@@ -19,8 +27,8 @@ Table* Catalog::GetTable(const std::string& name) const {
 }
 
 Table* Catalog::GetTable(uint32_t id) const {
-  std::lock_guard<std::mutex> g(mu_);
-  return id < tables_.size() ? tables_[id].get() : nullptr;
+  return id < kMaxTables ? slots_[id].load(std::memory_order_acquire)
+                         : nullptr;
 }
 
 std::vector<std::string> Catalog::TableNames() const {
