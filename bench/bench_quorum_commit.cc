@@ -1,13 +1,16 @@
 // Quorum-commit latency study (docs/replication.md).
 //
 // Commit durability through repl::QuorumLog waits for the frame to be
-// durable on a majority of K copies, so commit latency is the (quorum-1)-th
-// order statistic of replica flush latency stacked on the leader's flush:
+// durable on a majority of K copies, the leader's included. Replicas ship
+// each frame as soon as it is appended, so their flushes run alongside the
+// leader's and commit latency is max(leader flush, (quorum-1)-th fastest
+// replica flush), not their sum:
 //
 //   1. K=1 — replication off, the leader's flush is the whole cost.
-//   2. K=3 / K=5 — majority quorum (2-of-3, 3-of-5). The tail grows with
-//      the order statistic — more copies must answer — but the SLOWEST
-//      minority never gates a commit.
+//   2. K=3 / K=5 — majority quorum (2-of-3, 3-of-5). Close to K=1, since
+//      the extra copies flush in parallel; the tail grows with the order
+//      statistic — more copies must answer — but the SLOWEST minority never
+//      gates a commit.
 //   3. K=3 with one slow member — a 25x latency-spike FaultInjector scoped
 //      to replica 1's disk (the per-disk fault scoping this layer exists
 //      for). Majority quorum masks the straggler: p99.9 degrades only

@@ -270,6 +270,7 @@ Status RedoLog::ForceDurable() {
 uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
                          const std::vector<RedoOp>& ops, AckFn* park) {
   uint64_t lsn;
+  std::function<void()> listener;
   {
     std::lock_guard<std::mutex> g(mu_);
     lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
@@ -286,10 +287,14 @@ uint64_t RedoLog::Append(uint64_t txn_id, uint64_t bytes,
       parked_.Park(lsn, std::move(*park));
       *park = nullptr;
     }
+    if (append_listener_) listener = append_listener_;
   }
   TDP_CRASH_POINT("redo.append");
   stats_.commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits);
+  // Before the caller leads a flush: the replicas' device rounds for this
+  // frame start while this log's own is still ahead, not after it.
+  if (listener) listener();
   return lsn;
 }
 
@@ -411,14 +416,19 @@ size_t RedoLog::image_bytes() {
   return image_.size();
 }
 
-size_t RedoLog::CopyDurablePrefix(size_t from, std::vector<uint8_t>* out,
-                                  uint64_t* durable_lsn) {
+size_t RedoLog::CopyAppended(size_t from, std::vector<uint8_t>* out,
+                             uint64_t* last_lsn) {
   std::lock_guard<std::mutex> g(mu_);
-  if (durable_lsn != nullptr) {
-    *durable_lsn = durable_lsn_.load(std::memory_order_relaxed);
+  if (last_lsn != nullptr) {
+    *last_lsn = next_lsn_.load(std::memory_order_relaxed) - 1;
   }
-  if (out != nullptr) image_.CopyTo(from, durable_end_, out);
-  return durable_end_;
+  if (out != nullptr) image_.CopyTo(from, image_.size(), out);
+  return image_.size();
+}
+
+void RedoLog::SetAppendListener(std::function<void()> fn) {
+  std::lock_guard<std::mutex> g(mu_);
+  append_listener_ = std::move(fn);
 }
 
 std::vector<uint64_t> RedoLog::SimulateCrash() {

@@ -19,6 +19,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -146,13 +147,22 @@ class RedoLog {
   size_t image_bytes();
 
   /// Replication read-side (src/repl): appends the framed image bytes in
-  /// [`from`, end-of-durable-prefix) to `out` and stores the durable LSN
-  /// that prefix ends at in `durable_lsn`. Returns the durable prefix's end
-  /// offset. Unlike CrashImage this does not stop the log — it is the
-  /// shippers' live view, and it never exposes a byte the device has not
-  /// acknowledged durable.
-  size_t CopyDurablePrefix(size_t from, std::vector<uint8_t>* out,
-                           uint64_t* durable_lsn);
+  /// [`from`, end of image) to `out` and stores the LSN of the last framed
+  /// record in `last_lsn`. Returns the image's end offset. LSN assignment
+  /// and framing share mu_, so the range always ends on a whole frame.
+  /// Unlike CrashImage this does not stop the log — it is the shippers'
+  /// live view, and it includes frames this log has not made durable yet:
+  /// the image is append-only and a failed flush keeps its bytes, so every
+  /// copy shipped from it is a prefix of the one stream.
+  size_t CopyAppended(size_t from, std::vector<uint8_t>* out,
+                      uint64_t* last_lsn);
+
+  /// Registers `fn` to run after every append, once mu_ is released and
+  /// before the appender leads any flush; an empty `fn` clears it. The
+  /// replication layer wakes its shippers here, so replica flushes overlap
+  /// this log's own. `fn` must stay callable until it is cleared and no
+  /// append is in flight.
+  void SetAppendListener(std::function<void()> fn);
 
   struct Stats {
     std::atomic<uint64_t> commits{0};
@@ -173,7 +183,8 @@ class RedoLog {
   /// frames the record into image_ and queues its bytes, all under mu_.
   /// When `park` is non-null and the epoch thread is running, also moves
   /// *park onto the epoch (leaving it empty) under the same mu_, so parked
-  /// acks stay in LSN order. Returns the LSN.
+  /// acks stay in LSN order. Then runs the append listener, outside mu_.
+  /// Returns the LSN.
   uint64_t Append(uint64_t txn_id, uint64_t bytes,
                   const std::vector<RedoOp>& ops, AckFn* park);
   /// Writes (if needed) and flushes everything up to the current end of log.
@@ -214,6 +225,9 @@ class RedoLog {
   /// Acks parked on the epoch, by LSN. They fire when an epoch flush covers
   /// them, or at Stop or a crashed flush (non-OK if never durable).
   ParkedAcks parked_;
+  /// Called after each append (SetAppendListener). Guarded by mu_; Append
+  /// copies it under mu_ and calls the copy outside.
+  std::function<void()> append_listener_;
   /// The framed byte image of the log "file" (docs/recovery.md). LSNs are
   /// assigned under mu_ in append order, so frame order == LSN order.
   LogImage image_;

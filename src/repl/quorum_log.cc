@@ -48,9 +48,15 @@ void QuorumLog::Start() {
   for (size_t i = 0; i < replicas_.size(); ++i) {
     shippers_.emplace_back([this, i] { ShipperLoop(i); });
   }
+  if (!replicas_.empty()) {
+    config_.leader->SetAppendListener([this] { OnLeaderAppend(); });
+  }
 }
 
 void QuorumLog::Stop() {
+  // Destruction runs through here too, so the leader never calls back into
+  // a QuorumLog that is gone.
+  if (config_.leader != nullptr) config_.leader->SetAppendListener(nullptr);
   const bool was_running = running_.exchange(false);
   ship_cv_.notify_all();
   if (was_running) {
@@ -84,14 +90,21 @@ int QuorumLog::AliveCopiesLocked() const {
 }
 
 TakenAcks QuorumLog::AdvanceQuorumLocked() {
-  std::vector<uint64_t> durables;
-  durables.reserve(replicas_.size() + 1);
-  durables.push_back(leader_durable_lsn_.load(std::memory_order_relaxed));
-  for (const auto& r : replicas_) durables.push_back(r->durable_lsn());
-  std::sort(durables.begin(), durables.end(), std::greater<uint64_t>());
-  const uint64_t q = durables[static_cast<size_t>(quorum_) - 1];
-  // Per-copy watermarks are monotone, so the quorum-th order statistic is
-  // too; a plain max keeps quorum_lsn_ monotone even against races.
+  // A quorum always includes the leader's own copy: replicas ship ahead of
+  // the leader's flush, so the leader's durable mark caps the quorum LSN
+  // and the other quorum_ - 1 copies are the fastest replicas.
+  uint64_t q = config_.leader->durable_lsn();
+  if (quorum_ > 1) {
+    std::vector<uint64_t> durables;
+    durables.reserve(replicas_.size());
+    for (const auto& r : replicas_) durables.push_back(r->durable_lsn());
+    const auto nth = durables.begin() + (quorum_ - 2);
+    std::nth_element(durables.begin(), nth, durables.end(),
+                     std::greater<uint64_t>());
+    q = std::min(q, *nth);
+  }
+  // Per-copy watermarks are monotone, so this order statistic is too; a
+  // plain max keeps quorum_lsn_ monotone even against races.
   if (q > quorum_lsn_.load(std::memory_order_relaxed)) {
     quorum_lsn_.store(q, std::memory_order_release);
   }
@@ -132,14 +145,17 @@ void QuorumLog::OnLeaderAdvance() {
   TakenAcks taken;
   {
     std::lock_guard<std::mutex> g(mu_);
-    const uint64_t d = config_.leader->durable_lsn();
-    if (d > leader_durable_lsn_.load(std::memory_order_relaxed)) {
-      leader_durable_lsn_.store(d, std::memory_order_release);
-    }
     taken = AdvanceQuorumLocked();
   }
-  ship_cv_.notify_all();
   FireAcks(std::move(taken));
+}
+
+void QuorumLog::OnLeaderAppend() {
+  // The empty critical section orders the append against a shipper that
+  // found nothing to copy: it holds mu_ until it blocks on ship_cv_, so
+  // the notify cannot land in between (the SimDisk::ReleaseSlot guard).
+  { std::lock_guard<std::mutex> g(mu_); }
+  ship_cv_.notify_all();
 }
 
 uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
@@ -148,9 +164,11 @@ uint64_t QuorumLog::CommitAsync(uint64_t txn_id, uint64_t bytes,
   stats_.commits_submitted.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.commits_submitted);
   // The leader's log is still the one appender: same LSNs, same framing,
-  // same epoch batching. Its durability signal (the internal ack below) is
-  // what wakes the shippers, replacing "leader durable => ack" with
-  // "leader durable => ship => quorum durable => ack".
+  // same epoch batching. The append wakes the shippers (OnLeaderAppend), so
+  // replicas flush while the leader does; the leader's durability signal
+  // (the internal ack below) re-checks the quorum, replacing "leader
+  // durable => ack" with "leader durable and quorum - 1 replicas durable =>
+  // ack".
   const uint64_t lsn = config_.leader->CommitAsync(
       txn_id, bytes, std::move(ops), [this](const Status&) {
         OnLeaderAdvance();
@@ -191,14 +209,16 @@ void QuorumLog::ShipperLoop(size_t idx) {
     std::vector<uint8_t> chunk;
     uint64_t end_lsn = 0;
     if (!replica.dark()) {
-      // Copy the newly durable range of the leader image. Holding mu_ is
-      // fine — this is a memcpy under the leader's mutex, not device I/O.
-      config_.leader->CopyDurablePrefix(from, &chunk, &end_lsn);
+      // Copy the newly appended range of the leader image, durable on the
+      // leader or not. Holding mu_ is fine — this is a memcpy under the
+      // leader's mutex, not device I/O.
+      config_.leader->CopyAppended(from, &chunk, &end_lsn);
     }
     if (chunk.empty()) {
       // Nothing to ship (idle, fully caught up, or dark replica). Re-check
-      // liveness so a lost quorum resolves parked acks promptly, then nap
-      // until the leader advances or the retry interval elapses.
+      // the quorum — the leader's durable mark may have moved — and
+      // liveness, so a lost quorum resolves parked acks promptly, then nap
+      // until the leader appends or the retry interval elapses.
       TakenAcks taken = AdvanceQuorumLocked();
       if (taken.size() > 0) {
         lk.unlock();
@@ -279,14 +299,17 @@ uint64_t QuorumLog::Failover() {
 }
 
 Status QuorumLog::CatchUpReplicas() {
+  // The appended image, not the leader's durable prefix: replicas may hold
+  // frames the leader has not flushed yet, and catch-up must not ask them
+  // to hold less.
   std::vector<uint8_t> image;
-  uint64_t durable_lsn = 0;
-  config_.leader->CopyDurablePrefix(0, &image, &durable_lsn);
+  uint64_t last_lsn = 0;
+  config_.leader->CopyAppended(0, &image, &last_lsn);
   const uint64_t term = term_.load(std::memory_order_acquire);
   Status first;
   for (const auto& r : replicas_) {
     if (r->dark()) continue;  // a dead replica catches up when revived
-    const Status s = r->CatchUp(term, image, durable_lsn);
+    const Status s = r->CatchUp(term, image, last_lsn);
     if (!s.ok() && first.ok()) first = s;
   }
   TakenAcks taken;

@@ -4,21 +4,25 @@
 // The leader's RedoLog stays the single appender and keeps copy 0 of the
 // framed redo stream on its own log disk; QuorumLog adds K-1 Replica copies
 // and re-defines "commit durable" as "the frame is durable on a quorum of
-// the K copies". CommitAsync appends through the leader exactly as before —
-// so the epoch group-commit path is untouched and one epoch flush still
-// covers the whole parked batch on the leader — and parks the caller's ack
-// here instead. When an epoch (or synchronous group-commit) flush advances
-// the leader's durable prefix, one shipper thread per replica ships the
-// newly durable byte range — the whole epoch batch in one Ship — and
-// flushes it on that replica's disk in parallel with its siblings. The
-// quorum LSN is the quorum-th largest per-copy durable LSN; acks fire only
-// for frames at or below it, so commit latency is the (quorum-1)-th order
-// statistic of replica flush latency stacked on the leader's epoch flush —
-// one slow minority replica never gates commits.
+// the K copies, the leader's included". CommitAsync appends through the
+// leader exactly as before — so the epoch group-commit path is untouched
+// and one epoch flush still covers the whole parked batch on the leader —
+// and parks the caller's ack here instead. Every append wakes one shipper
+// thread per replica, which ships the newly appended byte range (whatever
+// accumulated while its last ship was in flight, in one Ship) and flushes
+// it on that replica's disk, in parallel with its siblings *and* with the
+// leader's own flush. The quorum LSN is min(leader durable LSN,
+// (quorum-1)-th largest replica durable LSN); acks fire only for frames at
+// or below it, so commit latency is max(leader flush, (quorum-1)-th fastest
+// replica flush), not their sum — and one slow minority replica never
+// gates commits.
 //
-// Because every copy is a byte-prefix of the same stream, "highest durable
-// LSN wins" failover is safe by construction: any quorum-acked frame is
-// durable on >= quorum copies, so the longest surviving copy contains it.
+// Replicas may hold frames the leader has not made durable yet. The stream
+// still never forks: the leader's image is append-only and a failed leader
+// flush keeps its bytes and retries, so every copy is a byte-prefix of the
+// same stream, and "highest durable LSN wins" failover is safe by
+// construction: any quorum-acked frame is durable on >= quorum copies, so
+// the longest surviving copy contains it.
 // Terms fence a deposed leader on both sides: replicas reject ships below
 // their adopted term, and the leader discards ship completions whose term
 // snapshot no longer matches (a late flush from before a Failover() must
@@ -78,10 +82,12 @@ class QuorumLog {
   QuorumLog(const QuorumLog&) = delete;
   QuorumLog& operator=(const QuorumLog&) = delete;
 
-  /// Starts one shipper thread per replica. No-op when replicas == 1.
+  /// Starts one shipper thread per replica and registers the leader's
+  /// append listener that wakes them. No-op when replicas == 1.
   void Start();
 
-  /// Joins the shippers, then partitions parked acks exactly like
+  /// Clears the leader's append listener, joins the shippers, then
+  /// partitions parked acks exactly like
   /// RedoLog::Stop: waiters at or below the quorum LSN ack OK, the rest ack
   /// non-OK. Stop does NOT flush or ship — an acked-OK-but-lost commit is
   /// impossible, which is what the crash harness leans on. Idempotent.
@@ -111,9 +117,10 @@ class QuorumLog {
   /// old term are discarded when they land. Returns the new term.
   uint64_t Failover();
 
-  /// Ships the leader's full durable image to every live replica under the
-  /// current term (the catch-up half of failover recovery). Returns the
-  /// first error (dead replicas are skipped, not errors).
+  /// Ships the leader's full appended image (durable on the leader or not)
+  /// to every live replica under the current term (the catch-up half of
+  /// failover recovery). Returns the first error (dead replicas are
+  /// skipped, not errors).
   Status CatchUpReplicas();
 
   /// Kills/revives replica i (1-based; copy 0 is the leader's own disk).
@@ -148,8 +155,10 @@ class QuorumLog {
   void ShipperLoop(size_t idx);
   /// Called on every leader durability signal (epoch/inline commit acks).
   void OnLeaderAdvance();
-  /// Recomputes the quorum LSN from all K durable watermarks and takes the
-  /// covered acks. Takes everything else as lost when fewer than `quorum_`
+  /// The leader's append listener: wakes the shippers.
+  void OnLeaderAppend();
+  /// Recomputes the quorum LSN from all K durable watermarks (the leader's
+  /// read live) and takes the covered acks. Takes everything else as lost when fewer than `quorum_`
   /// copies are still serving. Caller holds mu_.
   TakenAcks AdvanceQuorumLocked();
   /// Fires taken acks outside mu_ (OK / Unavailable), with the
@@ -170,7 +179,6 @@ class QuorumLog {
   ParkedAcks parked_;
   std::atomic<uint64_t> term_{1};
   std::atomic<uint64_t> quorum_lsn_{0};
-  std::atomic<uint64_t> leader_durable_lsn_{0};
   /// Per-replica leader-side ship anchors: the next byte offset to ship to
   /// replica i. Re-read from the replica's durable watermark after any
   /// failure or failover.
@@ -179,7 +187,7 @@ class QuorumLog {
 
   std::atomic<bool> running_{false};
   std::vector<std::thread> shippers_;
-  std::condition_variable ship_cv_;  ///< Wakes shippers on leader advance.
+  std::condition_variable ship_cv_;  ///< Wakes shippers on leader append.
 
   Stats stats_;
   struct MetricHandles {

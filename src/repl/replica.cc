@@ -98,9 +98,10 @@ Status Replica::CatchUp(uint64_t term, const std::vector<uint8_t>& image,
     from = durable_bytes_.load(std::memory_order_relaxed);
   }
   if (from > image.size()) {
-    // A durable prefix longer than the elected image would mean a quorum
-    // member out-ran the election winner — impossible when the winner is
-    // the highest-durable copy. Surface it rather than truncate silently.
+    // A durable prefix longer than the catch-up image would mean this copy
+    // holds bytes the image's source never had — impossible when the image
+    // is the leader's whole appended stream or the highest-durable copy.
+    // Surface it rather than truncate silently.
     return Status::Corruption("replica durable prefix exceeds catch-up image");
   }
   return Ship(term, from, image.data() + from, image.size() - from, end_lsn);

@@ -1,7 +1,7 @@
 // Chunked log images (log::LogImage): every log's image is built over many
 // chunks here and must read back exactly the bytes a contiguous vector
 // holds — through the container itself, RedoLog::CrashImage and
-// CopyDurablePrefix at offsets inside a chunk, a replica's tail truncation
+// CopyAppended at offsets inside a chunk, a replica's tail truncation
 // across a chunk boundary, and a WAL set's crash image.
 #include "log/log_image.h"
 
@@ -96,8 +96,9 @@ TEST(LogImageTest, MatchesContiguousReferenceAcrossChunks) {
   }
 }
 
-// The redo log's image, its shippers' view (CopyDurablePrefix) and its
-// crash image, with the durable mark and the copy offsets inside chunks.
+// The redo log's image, its shippers' view (CopyAppended, which runs past
+// the durable mark) and its crash image, with the durable mark and the copy
+// offsets inside chunks.
 TEST(LogImageTest, RedoLogImagesMatchContiguousFrames) {
   log::RedoLogConfig cfg;
   cfg.policy = log::FlushPolicy::kLazyWrite;  // nothing durable until forced
@@ -119,15 +120,13 @@ TEST(LogImageTest, RedoLogImagesMatchContiguousFrames) {
   ASSERT_EQ(redo.image_bytes(), ref.size());
 
   for (size_t from : {size_t{0}, size_t{17}, kChunk - 5, kChunk + 4321,
-                      durable - 1, durable, durable + 10}) {
+                      durable - 1, durable, durable + 10, ref.size()}) {
     std::vector<uint8_t> out;
-    uint64_t durable_lsn = 0;
-    EXPECT_EQ(redo.CopyDurablePrefix(from, &out, &durable_lsn), durable);
-    const std::vector<uint8_t> want =
-        from < durable ? std::vector<uint8_t>(
-                             ref.begin() + static_cast<ptrdiff_t>(from),
-                             ref.begin() + static_cast<ptrdiff_t>(durable))
-                       : std::vector<uint8_t>{};
+    uint64_t last_lsn = 0;
+    EXPECT_EQ(redo.CopyAppended(from, &out, &last_lsn), ref.size());
+    EXPECT_EQ(last_lsn, lsn);
+    const std::vector<uint8_t> want(ref.begin() + static_cast<ptrdiff_t>(from),
+                                    ref.end());
     EXPECT_EQ(out, want) << "from " << from;
   }
 

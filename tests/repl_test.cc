@@ -1,6 +1,8 @@
 // Quorum replication (docs/replication.md):
 //  * QuorumLog re-defines commit durability as "frame durable on a quorum
-//    of K copies"; acks park until the quorum LSN covers them and Stop()
+//    of K copies, the leader's included"; replicas may hold frames the
+//    leader has not flushed, but acks park until the quorum LSN (capped by
+//    the leader's durable mark) covers them, and Stop()
 //    partitions parked acks exactly like RedoLog::Stop (covered OK, rest
 //    non-OK) — an acked-OK-but-lost commit is impossible.
 //  * Terms fence a deposed leader on both sides: replicas reject ships
@@ -181,6 +183,65 @@ TEST(QuorumLogTest, StopPartitionsParkedAcks) {
   }
 }
 
+// Shippers copy the leader's appended frames, so replicas can hold a frame
+// durable before the leader does. A quorum always includes the leader's own
+// copy: two durable replicas out of three must not ack a frame the leader
+// has not flushed.
+TEST(QuorumLogTest, ReplicasAheadOfLeaderDoNotAck) {
+  AckLog acks;
+  Cluster c(3, /*park=*/true);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    c.ql.CommitAsync(i, 256, OneOp(i), acks.Make());
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return c.ql.replica(1).durable_lsn() >= 3 &&
+           c.ql.replica(2).durable_lsn() >= 3;
+  }));
+  EXPECT_EQ(c.leader.durable_lsn(), 0u);
+  EXPECT_EQ(c.ql.quorum_lsn(), 0u);
+  EXPECT_EQ(acks.fired.load(), 0);
+  // The leader's flush completes the quorum for all three.
+  ASSERT_TRUE(c.leader.ForceDurable().ok());
+  ASSERT_TRUE(WaitFor([&] { return acks.fired.load() == 3; }));
+  EXPECT_EQ(acks.ok_count(), 3);
+  // A second batch reaches both replicas but never the leader's disk: Stop
+  // resolves every one of its acks non-OK.
+  for (uint64_t i = 4; i <= 5; ++i) {
+    c.ql.CommitAsync(i, 256, OneOp(i), acks.Make());
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return c.ql.replica(1).durable_lsn() >= 5 &&
+           c.ql.replica(2).durable_lsn() >= 5;
+  }));
+  c.ql.Stop();
+  EXPECT_EQ(acks.fired.load(), 5);
+  EXPECT_EQ(acks.ok_count(), 3);
+  EXPECT_EQ(c.ql.quorum_lsn(), 3u);
+}
+
+// Catch-up ships the leader's appended image, so replicas that already hold
+// frames past the leader's durable mark are not asked to hold less (a
+// durable-prefix source would be shorter than their images: Corruption).
+TEST(QuorumLogTest, CatchUpWithReplicasAheadOfLeader) {
+  AckLog acks;
+  Cluster c(3, /*park=*/true);
+  for (uint64_t i = 1; i <= 4; ++i) {
+    c.ql.CommitAsync(i, 256, OneOp(i), acks.Make());
+  }
+  ASSERT_TRUE(WaitFor([&] {
+    return c.ql.replica(1).durable_lsn() >= 4 &&
+           c.ql.replica(2).durable_lsn() >= 4;
+  }));
+  ASSERT_EQ(c.leader.durable_lsn(), 0u);
+  c.ql.Failover();
+  EXPECT_EQ(acks.unavailable_count(), 4);
+  const Status s = c.ql.CatchUpReplicas();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(c.ql.replica(1).durable_lsn(), 4u);
+  EXPECT_EQ(c.ql.replica(1).durable_bytes(), c.leader.image_bytes());
+  EXPECT_EQ(c.ql.replica(1).durable_bytes(), c.ql.replica(2).durable_bytes());
+}
+
 TEST(QuorumLogTest, QuorumLossResolvesAcksUnavailableAndFailoverRestores) {
   Cluster c(3);
   Status durable;
@@ -298,8 +359,10 @@ TEST(QuorumLogTest, DiskDarkFaultStaysScopedToOneReplica) {
     // Majority quorum (leader + replica 2) rides through the dark replica.
     EXPECT_TRUE(durable.ok()) << durable.ToString();
   }
-  EXPECT_TRUE(injector.dark());
-  EXPECT_TRUE(c.ql.replica(1).dark());
+  // The quorum never needs replica 1, so its shipper may not have touched
+  // its device yet when the commits return.
+  EXPECT_TRUE(WaitFor([&] { return injector.dark(); }));
+  EXPECT_TRUE(WaitFor([&] { return c.ql.replica(1).dark(); }));
   EXPECT_GE(injector.stats().disk_darks.load(), 1u);
   // The fault never leaked: the sibling replica and the leader kept full
   // durability, and no process-wide crash flag tripped.

@@ -814,7 +814,12 @@ SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
 // At reboot every copy's crash image is collected (optionally with torn
 // tails), the new leader is elected (longest valid frame prefix) — on
 // `leader_lost` seeds over the replica copies only, modelling a leader whose
-// disk died with it — and the elected stream replays. Every copy is a
+// disk died with it — and the elected stream replays. One seed in four
+// (chosen from the seed number) also runs the leader's log disk under a
+// latency spike: the replicas, which ship appended frames while the leader
+// flushes, then spend most of each commit holding frames the leader's copy
+// does not, and the crash, kill, failover or leader-loss election can land
+// in that state. Every copy is a
 // byte-prefix of the one leader stream, so the shared prefix oracle applies
 // with no salvage regime: a non-prefix is what a double-applied unacked
 // commit would look like. Checks beyond it:
@@ -849,10 +854,16 @@ struct ReplPlan {
   uint64_t failover_at_commit = 1;
   bool leader_lost = false;  ///< Recover from the replica copies only.
   bool torn_tail = false;
+  /// Latency spike on the leader's log disk for the whole run: the replicas
+  /// run ahead of the leader's durable mark.
+  bool slow_leader = false;
 };
 
-ReplPlan MakeReplPlan(Rng* rng) {
+ReplPlan MakeReplPlan(uint64_t seed, Rng* rng) {
   ReplPlan plan;
+  // From the seed, not the plan stream, so the other seeds keep their
+  // workloads and verdicts.
+  plan.slow_leader = seed % 4 == 3;
   plan.replicas = rng->Bernoulli(0.5) ? 3 : 5;
   plan.async_epoch = rng->Bernoulli(0.4);
   plan.use_checkpoints = rng->Bernoulli(0.4);
@@ -902,13 +913,21 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
                               bool verbose) {
   SeedResult result;
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 0x0E91);
-  const ReplPlan plan = MakeReplPlan(&rng);
+  const ReplPlan plan = MakeReplPlan(seed, &rng);
 
   CrashPoints::Global().Reset();
   engine::MySQLMiniConfig cfg = LiveMysqlConfig(seed, plan.async_epoch);
   cfg.log_epoch_interval_ns = 200 * 1000;
   cfg.repl_replicas = plan.replicas;
   cfg.repl_disk = cfg.data_disk;
+  FaultInjector leader_spike;
+  if (plan.slow_leader) {
+    // 20x the quick disk's service time: one leader write + flush takes as
+    // long as twenty replica ships.
+    leader_spike.AddLatencySpike(0, int64_t{1} << 40, 20.0);
+    cfg.log_disk.fault = &leader_spike;
+    leader_spike.Arm();
+  }
   auto mysql = std::make_unique<engine::MySQLMini>(cfg);
   SetupSchema(mysql.get());
   repl::QuorumLog* ql = mysql->quorum_log();
@@ -1027,7 +1046,8 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
     static const char* kArmNames[] = {"clean", "crash", "kill", "failover"};
     std::printf(
         "seed %llu: repl K=%d arm=%s%s async=%d committed=%llu acked=%llu "
-        "prefix=%llu crash=%s leader_lost=%d torn=%d winner=%d frames=%llu\n",
+        "prefix=%llu crash=%s leader_lost=%d torn=%d winner=%d frames=%llu"
+        "%s\n",
         static_cast<unsigned long long>(seed), plan.replicas,
         kArmNames[static_cast<int>(plan.arm)],
         plan.arm == ReplPlan::Arm::kCrashPoint
@@ -1039,7 +1059,8 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
         static_cast<unsigned long long>(result.recovered_prefix),
         ledger.crashed_by.empty() ? "none" : ledger.crashed_by.c_str(),
         plan.leader_lost ? 1 : 0, plan.torn_tail ? 1 : 0, election.winner,
-        static_cast<unsigned long long>(election.frames));
+        static_cast<unsigned long long>(election.frames),
+        plan.slow_leader ? " slow_leader=1" : "");
   }
   return result;
 }
