@@ -9,11 +9,12 @@
 // the top-down predictability move: convert hidden tail latency into an
 // explicit, counted signal.
 //
-// Accounting contract (enforced as bench_runner cross-counter invariants):
-//   server.admitted + server.shed + server.rejected_recovering
-//       == server.submitted
-//   server.completed + server.expired + server.drain_aborted
-//       == server.admitted
+// Accounting contract (rows server.door, server.outcome, server.ack and
+// server.queue of the ledger table, src/common/ledger.cc, which
+// bench_runner and tdp_tune check on every experiment): every submission
+// is admitted, shed or rejected while recovering; every admission
+// completes, expires or is drain-aborted; every completion is acked once,
+// async or sync; and the queue is empty at quiesce.
 // "shed" counts door rejections only (queue full / not started / stopping);
 // a request dropped later because it exceeded max_queue_age_ns was already
 // admitted and counts as "expired". Requeues re-enter the queue without

@@ -78,6 +78,38 @@ TEST(BenchSchemaTest, SmokeSuiteInvariantsHold) {
     ADD_FAILURE() << "invariant violated: " << p;
 }
 
+// The checker can fail: one counter bumped in one experiment of the real
+// smoke document unbalances the ledger row it belongs to, and
+// CheckInvariants reports exactly that row under that experiment's name.
+TEST(BenchSchemaTest, BumpedCounterFailsItsLedgerRow) {
+#ifdef TDP_METRICS_DISABLED
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  const json::Value& doc = SmokeDoc();
+  json::Value experiments = json::Value::Array();
+  std::string bumped;
+  for (const json::Value& e : doc.Find("experiments")->items()) {
+    json::Value exp = e;
+    if (bumped.empty() && e.Find("engine")->as_string() == "mysqlmini") {
+      bumped = e.Find("name")->as_string();
+      json::Value metrics = *e.Find("metrics");
+      json::Value counters = *metrics.Find("counters");
+      counters.Set("mysql.lock_acquisitions",
+                   json::Value::Int(Counter(e, "mysql.lock_acquisitions") + 1));
+      metrics.Set("counters", std::move(counters));
+      exp.Set("metrics", std::move(metrics));
+    }
+    experiments.Append(std::move(exp));
+  }
+  ASSERT_FALSE(bumped.empty());
+  json::Value broken = doc;
+  broken.Set("experiments", std::move(experiments));
+
+  const std::vector<std::string> problems = tools::CheckInvariants(broken);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0].rfind(bumped + ": lock: ", 0), 0u) << problems[0];
+}
+
 TEST(BenchSchemaTest, LockGrantsMatchTxnObservedAcquisitions) {
 #ifdef TDP_METRICS_DISABLED
   GTEST_SKIP() << "metrics compiled out";

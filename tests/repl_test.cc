@@ -175,8 +175,8 @@ TEST(QuorumLogTest, StopPartitionsParkedAcks) {
     c.ql.Stop();
     EXPECT_EQ(acks.fired.load(), 5);
     EXPECT_EQ(acks.ok_count(), 3);
-    // Ack ledger identity (bench_suites CheckInvariants "repl"):
-    // submitted == quorum + lost once the log stops.
+    // The ledger table's `repl` row (src/common/ledger.cc) with nothing
+    // left parked: submitted == quorum + lost once the log stops.
     EXPECT_EQ(c.ql.stats().commits_submitted.load(),
               c.ql.stats().acks_quorum.load() +
                   c.ql.stats().acks_lost.load());

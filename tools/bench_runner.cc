@@ -12,24 +12,10 @@
 // TDP_QUICK_BENCH=1 for CI-sized runs (tools/run_benchsmoke.sh does).
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "tools/bench_suites.h"
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string suite = "smoke";
@@ -78,32 +64,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%zu experiments)\n", out_path.c_str(),
               doc.Find("experiments")->items().size());
 
-  int failures = 0;
-  if (!schema_path.empty()) {
-    std::string schema_text;
-    tdp::json::Value schema;
-    std::string err;
-    if (!ReadFile(schema_path, &schema_text) ||
-        !tdp::json::Value::Parse(schema_text, &schema, &err)) {
-      std::fprintf(stderr, "bench_runner: cannot load schema %s: %s\n",
-                   schema_path.c_str(), err.c_str());
-      return 1;
-    }
-    for (const std::string& p :
-         tdp::tools::ValidateAgainstSchema(doc, schema)) {
-      std::fprintf(stderr, "schema drift: %s\n", p.c_str());
-      ++failures;
-    }
-    if (failures == 0) std::printf("schema: OK\n");
-  }
-  if (check) {
-    int violations = 0;
-    for (const std::string& p : tdp::tools::CheckInvariants(doc)) {
-      std::fprintf(stderr, "invariant violated: %s\n", p.c_str());
-      ++violations;
-    }
-    if (violations == 0) std::printf("invariants: OK\n");
-    failures += violations;
-  }
-  return failures == 0 ? 0 : 1;
+  return tdp::tools::GateDocument(doc, schema_path, check, "bench_runner") == 0
+             ? 0
+             : 1;
 }

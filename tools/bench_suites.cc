@@ -3,12 +3,18 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <initializer_list>
 #include <memory>
+#include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
+#include "common/ledger.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/toolkit.h"
@@ -64,22 +70,38 @@ std::unique_ptr<engine::Database> MustOpen(engine::EngineKind kind,
   return std::move(db.value());
 }
 
-core::Metrics RunMysql(engine::MySQLMiniConfig cfg, workload::TpccConfig tcfg,
-                       workload::DriverConfig driver) {
-  engine::EngineConfig ecfg;
-  ecfg.mysql = std::move(cfg);
-  auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
+/// TPC-C on the engine `kind` selects from `ecfg`: open, load, and run
+/// closed-loop.
+core::Metrics RunTpcc(engine::EngineKind kind, const engine::EngineConfig& ecfg,
+                      const workload::TpccConfig& tcfg,
+                      const workload::DriverConfig& driver) {
+  auto db = MustOpen(kind, ecfg);
   workload::Tpcc wl(tcfg);
   return core::LoadAndRun(db.get(), &wl, driver).metrics;
 }
 
-core::Metrics RunPg(pg::PgMiniConfig cfg, workload::TpccConfig tcfg,
-                    workload::DriverConfig driver) {
+/// The server layer's run: `wl` is loaded into a mysqlmini built from `cfg`
+/// and driven open-loop, `n` Poisson arrivals at `tps`, through a
+/// TransactionService built from `scfg` (one attempt per dispatch by
+/// default, so retryable aborts requeue).
+core::Metrics RunThroughService(const engine::MySQLMiniConfig& cfg,
+                                workload::Workload* wl,
+                                const server::ServiceConfig& scfg, double tps,
+                                uint64_t n) {
   engine::EngineConfig ecfg;
-  ecfg.pg = std::move(cfg);
-  auto db = MustOpen(engine::EngineKind::kPgMini, ecfg);
-  workload::Tpcc wl(tcfg);
-  return core::LoadAndRun(db.get(), &wl, driver).metrics;
+  ecfg.mysql = cfg;
+  auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
+  wl->Load(db.get());
+  server::TransactionService svc(db.get(), scfg);
+  svc.Start();
+  workload::DriverConfig driver;
+  driver.tps = tps;
+  driver.num_txns = n;
+  driver.warmup_txns = n / 10;
+  driver.arrival = workload::ArrivalProcess::kPoisson;
+  const workload::RunResult run = workload::RunService(&svc, wl, driver);
+  svc.Shutdown();
+  return core::Metrics::From(run);
 }
 
 /// Open-loop voltmini run mirroring bench_fig6_outofbox's third leg, sized
@@ -110,78 +132,80 @@ core::Metrics RunVolt(int workers, uint64_t n) {
   return core::Metrics::FromLatencies(lat);
 }
 
-json::Value MysqlParams(bool eager_flush, bool lazy_lru) {
+/// The paper's closed-loop driver sized to `n` transactions, 10% warmup.
+workload::DriverConfig Driver(uint64_t n) {
+  workload::DriverConfig driver = core::Toolkit::DriverDefault();
+  driver.num_txns = n;
+  driver.warmup_txns = n / 10;
+  return driver;
+}
+
+/// TPC-C on mysqlmini. The params carry what CheckInvariants needs to know
+/// of the config.
+json::Value MysqlExperiment(const std::string& name,
+                            const engine::MySQLMiniConfig& cfg,
+                            const workload::TpccConfig& tcfg,
+                            const workload::DriverConfig& driver) {
   json::Value p = json::Value::Object();
   // Redo-bytes accounting is only exact when every commit waits for its
   // flush; lazy policies legitimately leave a tail unflushed at quiesce.
-  p.Set("check_redo_bytes", json::Value::Bool(eager_flush));
-  p.Set("lazy_lru", json::Value::Bool(lazy_lru));
-  return p;
+  p.Set("check_redo_bytes",
+        json::Value::Bool(cfg.flush_policy == log::FlushPolicy::kEagerFlush));
+  p.Set("lazy_lru", json::Value::Bool(cfg.lazy_lru));
+  engine::EngineConfig ecfg;
+  ecfg.mysql = cfg;
+  return RunExperiment(name, "mysqlmini", std::move(p), [&] {
+    return RunTpcc(engine::EngineKind::kMySQLMini, ecfg, tcfg, driver);
+  });
 }
 
-json::Value PgParams(uint64_t block_bytes) {
+/// 4-warehouse TPC-C on pgmini, 350 tps over 128 connections.
+json::Value PgExperiment(const std::string& name, const pg::PgMiniConfig& cfg,
+                         uint64_t n) {
+  workload::DriverConfig driver = Driver(n);
+  driver.tps = 350;
+  driver.connections = 128;
+  workload::TpccConfig tcfg;
+  tcfg.warehouses = 4;
+  engine::EngineConfig ecfg;
+  ecfg.pg = cfg;
   json::Value p = json::Value::Object();
-  p.Set("wal_block_bytes", json::Value::Int(static_cast<int64_t>(block_bytes)));
-  return p;
+  p.Set("wal_block_bytes",
+        json::Value::Int(static_cast<int64_t>(cfg.wal.block_bytes)));
+  return RunExperiment(name, "pgmini", std::move(p), [&] {
+    return RunTpcc(engine::EngineKind::kPgMini, ecfg, tcfg, driver);
+  });
 }
 
 json::Value Fig2Experiment(lock::SchedulerPolicy policy, uint64_t n) {
-  workload::DriverConfig driver = core::Toolkit::DriverDefault();
-  driver.num_txns = n;
-  driver.warmup_txns = n / 10;
-  return RunExperiment(
-      std::string("fig2.") + lock::SchedulerPolicyName(policy), "mysqlmini",
-      MysqlParams(/*eager_flush=*/true, /*lazy_lru=*/false), [&] {
-        return RunMysql(core::Toolkit::MysqlDefault(policy),
-                        core::Toolkit::TpccContended(), driver);
-      });
+  return MysqlExperiment(
+      std::string("fig2.") + lock::SchedulerPolicyName(policy),
+      core::Toolkit::MysqlDefault(policy), core::Toolkit::TpccContended(),
+      Driver(n));
 }
 
 json::Value Fig3LluExperiment(bool lazy, uint64_t n) {
-  workload::DriverConfig driver = core::Toolkit::DriverDefault();
+  engine::MySQLMiniConfig cfg =
+      core::Toolkit::MysqlMemoryContended(lock::SchedulerPolicy::kFCFS);
+  cfg.lazy_lru = lazy;
+  workload::DriverConfig driver = Driver(n);
   driver.tps = 420;
-  driver.num_txns = n;
-  driver.warmup_txns = n / 10;
-  return RunExperiment(lazy ? "fig3.llu" : "fig3.original_lru", "mysqlmini",
-                       MysqlParams(/*eager_flush=*/true, lazy), [&] {
-                         engine::MySQLMiniConfig cfg =
-                             core::Toolkit::MysqlMemoryContended(
-                                 lock::SchedulerPolicy::kFCFS);
-                         cfg.lazy_lru = lazy;
-                         return RunMysql(cfg, core::Toolkit::Tpcc2WH(),
-                                         driver);
-                       });
+  return MysqlExperiment(lazy ? "fig3.llu" : "fig3.original_lru", cfg,
+                         core::Toolkit::Tpcc2WH(), driver);
 }
 
 json::Value Fig3FlushExperiment(log::FlushPolicy policy, uint64_t n) {
-  workload::DriverConfig driver = core::Toolkit::DriverDefault();
-  driver.num_txns = n;
-  driver.warmup_txns = n / 10;
-  return RunExperiment(
-      std::string("fig3.flush_") + log::FlushPolicyName(policy), "mysqlmini",
-      MysqlParams(policy == log::FlushPolicy::kEagerFlush,
-                  /*lazy_lru=*/false),
-      [&] {
-        engine::MySQLMiniConfig cfg =
-            core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
-        cfg.flush_policy = policy;
-        return RunMysql(cfg, core::Toolkit::TpccContended(), driver);
-      });
+  engine::MySQLMiniConfig cfg =
+      core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
+  cfg.flush_policy = policy;
+  return MysqlExperiment(
+      std::string("fig3.flush_") + log::FlushPolicyName(policy), cfg,
+      core::Toolkit::TpccContended(), Driver(n));
 }
 
 json::Value Fig4Experiment(bool parallel, uint64_t n) {
-  workload::DriverConfig driver = core::Toolkit::DriverDefault();
-  driver.tps = 350;
-  driver.connections = 128;
-  driver.num_txns = n;
-  driver.warmup_txns = n / 10;
-  const pg::PgMiniConfig cfg = core::Toolkit::PgDefault(parallel);
-  return RunExperiment(parallel ? "fig4.parallel_logging" : "fig4.single_wal",
-                       "pgmini", PgParams(cfg.wal.block_bytes), [&] {
-                         workload::TpccConfig tcfg;
-                         tcfg.warehouses = 4;
-                         return RunPg(cfg, tcfg, driver);
-                       });
+  return PgExperiment(parallel ? "fig4.parallel_logging" : "fig4.single_wal",
+                      core::Toolkit::PgDefault(parallel), n);
 }
 
 /// TPC-C through the TransactionService (server layer): an open-loop
@@ -198,32 +222,18 @@ json::Value ServerExperiment(server::DispatchPolicy policy, bool overload,
   const std::string name = std::string("server.") +
                            (overload ? "overload" : server::DispatchPolicyName(policy));
   return RunExperiment(name, "server", std::move(p), [&] {
-    engine::EngineConfig ecfg;
-    ecfg.mysql = core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
+    engine::MySQLMiniConfig cfg =
+        core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
     // Capacity shaped by per-row CPU work, not the serial log device, so
     // the overload leg saturates the same way on any machine.
-    ecfg.mysql.flush_policy = log::FlushPolicy::kLazyFlush;
-    ecfg.mysql.row_work_ns = 150000;
-    auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
+    cfg.flush_policy = log::FlushPolicy::kLazyFlush;
+    cfg.row_work_ns = 150000;
     workload::Tpcc wl(core::Toolkit::TpccContended());
-    wl.Load(db.get());
-
     server::ServiceConfig scfg;
     scfg.workers = overload ? 2 : 8;
     scfg.policy = policy;
     scfg.max_queue_depth = overload ? 8 : 4096;
-    scfg.retry.max_attempts = 1;  // Retryable aborts requeue.
-    server::TransactionService svc(db.get(), scfg);
-    svc.Start();
-
-    workload::DriverConfig driver;
-    driver.tps = overload ? 5000 : 300;
-    driver.num_txns = n;
-    driver.warmup_txns = n / 10;
-    driver.arrival = workload::ArrivalProcess::kPoisson;
-    const workload::RunResult run = workload::RunService(&svc, &wl, driver);
-    svc.Shutdown();
-    return core::Metrics::From(run);
+    return RunThroughService(cfg, &wl, scfg, overload ? 5000 : 300, n);
   });
 }
 
@@ -240,35 +250,21 @@ json::Value ServerAsyncCommitExperiment(uint64_t n) {
   p.Set("overload", json::Value::Bool(false));
   p.Set("async_commit", json::Value::Bool(true));
   return RunExperiment("server.async_commit", "server", std::move(p), [&] {
-    engine::EngineConfig ecfg;
-    ecfg.mysql = core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
+    engine::MySQLMiniConfig cfg =
+        core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
     // Eager + group commit keeps the flush on the commit path; the epoch
     // thread turns it into one leader flush per parked batch.
-    ecfg.mysql.flush_policy = log::FlushPolicy::kEagerFlush;
-    ecfg.mysql.log_group_commit = true;
-    ecfg.mysql.log_async_commit = true;
-    ecfg.mysql.log_epoch_interval_ns = 100 * 1000;
-    auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
+    cfg.flush_policy = log::FlushPolicy::kEagerFlush;
+    cfg.log_group_commit = true;
+    cfg.log_async_commit = true;
+    cfg.log_epoch_interval_ns = 100 * 1000;
     workload::Tpcc wl(core::Toolkit::TpccContended());
-    wl.Load(db.get());
-
     server::ServiceConfig scfg;
     scfg.workers = 8;
     scfg.policy = server::DispatchPolicy::kFifo;
     scfg.max_queue_depth = 4096;
-    scfg.retry.max_attempts = 1;
     scfg.async_ack = true;
-    server::TransactionService svc(db.get(), scfg);
-    svc.Start();
-
-    workload::DriverConfig driver;
-    driver.tps = 300;
-    driver.num_txns = n;
-    driver.warmup_txns = n / 10;
-    driver.arrival = workload::ArrivalProcess::kPoisson;
-    const workload::RunResult run = workload::RunService(&svc, &wl, driver);
-    svc.Shutdown();
-    return core::Metrics::From(run);
+    return RunThroughService(cfg, &wl, scfg, 300, n);
   });
 }
 
@@ -277,80 +273,61 @@ json::Value ServerAsyncCommitExperiment(uint64_t n) {
 /// decisions actually bind. The baseline arm runs VATS lock scheduling with
 /// eldest-first dispatch; the cp arm runs kCPVATS + kConflictAware, both
 /// decision points sharing the engine-owned online predictor. The cp arm's
-/// sched.* counters carry the prediction-accounting invariants
-/// (hits + false_positives == flagged, steer_delays >= flagged).
+/// sched.* counters carry the prediction-accounting checks
+/// (src/common/ledger.cc, plus steer_delays >= flagged).
 json::Value SchedExperiment(bool cp, uint64_t n) {
   json::Value p = json::Value::Object();
   p.Set("cp", json::Value::Bool(cp));
   p.Set("backend", json::Value::Str("mysqlmini"));
   return RunExperiment(std::string("sched.") + (cp ? "cpvats" : "vats"),
                        "sched", std::move(p), [&] {
-    engine::EngineConfig ecfg;
-    ecfg.mysql = core::Toolkit::MysqlDefault(
+    engine::MySQLMiniConfig cfg = core::Toolkit::MysqlDefault(
         cp ? lock::SchedulerPolicy::kCPVATS : lock::SchedulerPolicy::kVATS);
     // Conflict-bound posture (bench_conflict_sched's): cheap log, real
     // per-row work, so lock queueing is what the schedulers act on.
-    ecfg.mysql.flush_policy = log::FlushPolicy::kLazyFlush;
-    ecfg.mysql.row_work_ns = 20000;
-    ecfg.mysql.lock.wait_timeout_ns = MillisToNanos(500);
-    auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
+    cfg.flush_policy = log::FlushPolicy::kLazyFlush;
+    cfg.row_work_ns = 20000;
+    cfg.lock.wait_timeout_ns = MillisToNanos(500);
     workload::YcsbConfig ycsb;
     ycsb.rows = 2000;
     ycsb.zipf_theta = 0.99;
     ycsb.ops_per_txn = 4;
     ycsb.pct_reads = 20;
     workload::Ycsb wl(ycsb);
-    wl.Load(db.get());
-
     server::ServiceConfig scfg;
     scfg.workers = 8;
     scfg.policy = cp ? server::DispatchPolicy::kConflictAware
                      : server::DispatchPolicy::kEldestFirst;
     scfg.max_queue_depth = 4096;
-    scfg.retry.max_attempts = 1;  // Retryable aborts requeue.
-    server::TransactionService svc(db.get(), scfg);
-    svc.Start();
-
-    workload::DriverConfig driver;
-    driver.tps = 800;
-    driver.num_txns = n;
-    driver.warmup_txns = n / 10;
-    driver.arrival = workload::ArrivalProcess::kPoisson;
-    const workload::RunResult run = workload::RunService(&svc, &wl, driver);
-    svc.Shutdown();
-    return core::Metrics::From(run);
+    return RunThroughService(cfg, &wl, scfg, 800, n);
   });
 }
 
 /// Quorum-replicated durability (docs/replication.md): TPC-C on mysqlmini
 /// with K copies of the redo stream, so every commit waits for a majority
-/// quorum before acking. The repl.* ack-ledger identity (acks_quorum +
-/// acks_waiting + acks_lost == commits_submitted) is checked by
-/// CheckInvariants; a healthy run additionally loses nothing.
+/// quorum before acking. CheckInvariants holds the `repl` ledger row (every
+/// commit acked, parked or lost) and, on this healthy run, that nothing is
+/// left parked or lost.
 json::Value ReplExperiment(int replicas, uint64_t n) {
-  workload::DriverConfig driver = core::Toolkit::DriverDefault();
-  driver.num_txns = n;
-  driver.warmup_txns = n / 10;
+  engine::EngineConfig ecfg;
+  ecfg.mysql = core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS);
+  ecfg.mysql.repl_replicas = replicas;
+  ecfg.mysql.repl_disk = ecfg.mysql.log_disk;
   json::Value p = json::Value::Object();
   p.Set("replicas", json::Value::Int(replicas));
   return RunExperiment("repl.k" + std::to_string(replicas), "repl",
                        std::move(p), [&] {
-                         engine::MySQLMiniConfig cfg = core::Toolkit::MysqlDefault(
-                             lock::SchedulerPolicy::kFCFS);
-                         cfg.repl_replicas = replicas;
-                         cfg.repl_disk = cfg.log_disk;
-                         return RunMysql(cfg, core::Toolkit::TpccContended(),
-                                         driver);
+                         return RunTpcc(engine::EngineKind::kMySQLMini, ecfg,
+                                        core::Toolkit::TpccContended(),
+                                        Driver(n));
                        });
 }
 
 /// Partitioned scale-out (docs/sharding.md): multi-op YCSB over N
 /// hash-partitioned mysqlmini shards, so transactions whose keys land on
 /// different shards commit through presumed-abort 2PC while single-shard
-/// ones take the untouched fast path. CheckInvariants enforces the 2PC
-/// ledger (2pc.prepared + 2pc.aborted_presumed == 2pc.coordinated), the
-/// commit classification, and — since every shard is a full mysqlmini —
-/// the usual lock-grant accounting.
+/// ones take the untouched fast path. CheckInvariants holds the `2pc` and
+/// `lock` ledger rows and checks the commit classification.
 json::Value ShardExperiment(int num_shards, uint64_t n) {
   json::Value p = json::Value::Object();
   p.Set("num_shards", json::Value::Int(num_shards));
@@ -371,11 +348,8 @@ json::Value ShardExperiment(int num_shards, uint64_t n) {
                          ycsb.ops_per_txn = 4;
                          ycsb.pct_reads = 50;
                          workload::Ycsb wl(ycsb);
-                         workload::DriverConfig driver =
-                             core::Toolkit::DriverDefault();
-                         driver.num_txns = n;
-                         driver.warmup_txns = n / 10;
-                         return core::LoadAndRun(db.get(), &wl, driver).metrics;
+                         return core::LoadAndRun(db.get(), &wl, Driver(n))
+                             .metrics;
                        });
 }
 
@@ -476,28 +450,12 @@ json::Value RunSuite(const std::string& suite) {
     experiments.Append(ShardExperiment(/*num_shards=*/4, SuiteN(2500)));
   } else {  // fig6
     const uint64_t n = SuiteN(6000);
-    workload::DriverConfig driver = core::Toolkit::DriverDefault();
-    driver.num_txns = n;
-    driver.warmup_txns = n / 10;
-    experiments.Append(RunExperiment(
-        "fig6.mysqlmini", "mysqlmini",
-        MysqlParams(/*eager_flush=*/true, /*lazy_lru=*/false), [&] {
-          return RunMysql(
-              core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS),
-              core::Toolkit::TpccContended(), driver);
-        }));
-    workload::DriverConfig pg_driver = core::Toolkit::DriverDefault();
-    pg_driver.tps = 350;
-    pg_driver.connections = 128;
-    pg_driver.num_txns = n;
-    pg_driver.warmup_txns = n / 10;
-    const pg::PgMiniConfig pg_cfg = core::Toolkit::PgDefault();
-    experiments.Append(RunExperiment("fig6.pgmini", "pgmini",
-                                     PgParams(pg_cfg.wal.block_bytes), [&] {
-                                       workload::TpccConfig tcfg;
-                                       tcfg.warehouses = 4;
-                                       return RunPg(pg_cfg, tcfg, pg_driver);
-                                     }));
+    experiments.Append(MysqlExperiment(
+        "fig6.mysqlmini",
+        core::Toolkit::MysqlDefault(lock::SchedulerPolicy::kFCFS),
+        core::Toolkit::TpccContended(), Driver(n)));
+    experiments.Append(
+        PgExperiment("fig6.pgmini", core::Toolkit::PgDefault(), n));
     experiments.Append(Fig6VoltExperiment(n));
   }
 
@@ -586,52 +544,64 @@ std::vector<std::string> ValidateAgainstSchema(const json::Value& doc,
 
 namespace {
 
+/// exp[path[0]][path[1]]..., or null where a step is missing.
+const json::Value* At(const json::Value& exp,
+                      std::initializer_list<std::string> path) {
+  const json::Value* v = &exp;
+  for (const std::string& key : path) {
+    if ((v = v->Find(key)) == nullptr) return nullptr;
+  }
+  return v;
+}
+
 int64_t Counter(const json::Value& exp, const std::string& name) {
-  const json::Value* metrics = exp.Find("metrics");
-  const json::Value* counters =
-      metrics != nullptr ? metrics->Find("counters") : nullptr;
-  const json::Value* c = counters != nullptr ? counters->Find(name) : nullptr;
+  const json::Value* c = At(exp, {"metrics", "counters", name});
   return c != nullptr && c->is_number() ? c->as_int() : -1;
 }
 
 int64_t GaugeValue(const json::Value& exp, const std::string& name) {
-  const json::Value* metrics = exp.Find("metrics");
-  const json::Value* gauges =
-      metrics != nullptr ? metrics->Find("gauges") : nullptr;
-  const json::Value* g = gauges != nullptr ? gauges->Find(name) : nullptr;
-  const json::Value* v = g != nullptr ? g->Find("value") : nullptr;
+  const json::Value* v = At(exp, {"metrics", "gauges", name, "value"});
   return v != nullptr && v->is_number() ? v->as_int() : INT64_MIN;
 }
 
+/// A name as the ledger reads it: a counter, else a gauge, else 0.
+int64_t LedgerValue(const json::Value& exp, std::string_view name) {
+  const std::string n(name);
+  if (const int64_t c = Counter(exp, n); c >= 0) return c;
+  const int64_t g = GaugeValue(exp, n);
+  return g == INT64_MIN ? 0 : g;
+}
+
 int64_t HistogramCount(const json::Value& exp, const std::string& name) {
-  const json::Value* metrics = exp.Find("metrics");
-  const json::Value* hists =
-      metrics != nullptr ? metrics->Find("histograms") : nullptr;
-  const json::Value* h = hists != nullptr ? hists->Find(name) : nullptr;
-  const json::Value* c = h != nullptr ? h->Find("count") : nullptr;
+  const json::Value* c = At(exp, {"metrics", "histograms", name, "count"});
   return c != nullptr && c->is_number() ? c->as_int() : -1;
 }
 
 bool ParamBool(const json::Value& exp, const std::string& name) {
-  const json::Value* params = exp.Find("params");
-  const json::Value* p = params != nullptr ? params->Find(name) : nullptr;
+  const json::Value* p = At(exp, {"params", name});
   return p != nullptr && p->is_bool() && p->as_bool();
 }
 
 int64_t ParamInt(const json::Value& exp, const std::string& name) {
-  const json::Value* params = exp.Find("params");
-  const json::Value* p = params != nullptr ? params->Find(name) : nullptr;
+  const json::Value* p = At(exp, {"params", name});
   return p != nullptr && p->is_number() ? p->as_int() : -1;
+}
+
+/// Records a problem under the experiment's name.
+void Report(const json::Value& exp, const std::string& what,
+            std::vector<std::string>* problems) {
+  const json::Value* name = exp.Find("name");
+  problems->push_back(
+      (name != nullptr ? name->as_string() : std::string("?")) + ": " + what);
 }
 
 void RequireEq(const json::Value& exp, const std::string& what, int64_t lhs,
                int64_t rhs, std::vector<std::string>* problems) {
-  const json::Value* name = exp.Find("name");
   if (lhs != rhs) {
-    problems->push_back(
-        (name != nullptr ? name->as_string() : std::string("?")) + ": " +
-        what + " (" + std::to_string(lhs) + " != " + std::to_string(rhs) +
-        ")");
+    Report(exp,
+           what + " (" + std::to_string(lhs) + " != " + std::to_string(rhs) +
+               ")",
+           problems);
   }
 }
 
@@ -639,11 +609,18 @@ void RequirePositive(const json::Value& exp, const std::string& counter,
                      std::vector<std::string>* problems) {
   const int64_t v = Counter(exp, counter);
   if (v <= 0) {
-    const json::Value* name = exp.Find("name");
-    problems->push_back(
-        (name != nullptr ? name->as_string() : std::string("?")) + ": " +
-        counter + " should be positive, got " + std::to_string(v));
+    Report(exp, counter + " should be positive, got " + std::to_string(v),
+           problems);
   }
+}
+
+bool ReadFile(const std::string& path, std::string* out) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = ss.str();
+  return true;
 }
 
 }  // namespace
@@ -656,15 +633,16 @@ std::vector<std::string> CheckInvariants(const json::Value& doc) {
     return problems;
   }
   for (const json::Value& exp : experiments->items()) {
+    // Every ledger identity, on every experiment: the names of a subsystem
+    // that did not run are absent and read 0, so its rows hold trivially.
+    for (const std::string& v : metrics::CheckLedger(
+             [&exp](std::string_view n) { return LedgerValue(exp, n); })) {
+      Report(exp, v, &problems);
+    }
     const json::Value* engine_v = exp.Find("engine");
     const std::string engine =
         engine_v != nullptr ? engine_v->as_string() : "";
     if (engine == "mysqlmini") {
-      // Every lock the lock manager granted was observed by exactly one
-      // transaction, and vice versa.
-      RequireEq(exp, "lock.grants.total != mysql.lock_acquisitions",
-                Counter(exp, "lock.grants.total"),
-                Counter(exp, "mysql.lock_acquisitions"), &problems);
       RequirePositive(exp, "lock.grants.total", &problems);
       RequirePositive(exp, "buf.hits", &problems);
       RequirePositive(exp, "log.commits", &problems);
@@ -681,9 +659,6 @@ std::vector<std::string> CheckInvariants(const json::Value& doc) {
                   GaugeValue(exp, "buf.llu.backlog"), 0, &problems);
       }
     } else if (engine == "pgmini") {
-      RequireEq(exp, "lock.grants.total != pg.lock_acquisitions",
-                Counter(exp, "lock.grants.total"),
-                Counter(exp, "pg.lock_acquisitions"), &problems);
       RequirePositive(exp, "wal.commits", &problems);
       const int64_t block = ParamInt(exp, "wal_block_bytes");
       if (block > 0) {
@@ -692,35 +667,12 @@ std::vector<std::string> CheckInvariants(const json::Value& doc) {
                   Counter(exp, "wal.bytes_written"),
                   Counter(exp, "wal.blocks_written") * block, &problems);
       }
-    } else if (engine == "server") {
-      // Admission accounting is exact: every submission is either admitted
-      // or rejected at the door (shed on overload, rejected_recovering
-      // during the startup recovery barrier), and every admission reaches
-      // exactly one final outcome (completion, queue-age expiry, or drain
-      // abort).
-      RequireEq(exp,
-                "server.admitted + server.shed + server.rejected_recovering"
-                " != server.submitted",
-                Counter(exp, "server.admitted") + Counter(exp, "server.shed") +
-                    Counter(exp, "server.rejected_recovering"),
-                Counter(exp, "server.submitted"), &problems);
-      RequireEq(exp,
-                "server.completed + server.expired + server.drain_aborted != "
-                "server.admitted",
-                Counter(exp, "server.completed") +
-                    Counter(exp, "server.expired") +
-                    Counter(exp, "server.drain_aborted"),
-                Counter(exp, "server.admitted"), &problems);
-      RequireEq(exp, "server.queue_depth not drained at quiesce",
-                GaugeValue(exp, "server.queue_depth"), 0, &problems);
+    } else if (engine == "server" || engine == "sched" ||
+               engine == "tuning") {
+      // Service-layer runs (a tdp_tune arm's metrics block is the merged
+      // delta over its replicates).
       RequirePositive(exp, "server.submitted", &problems);
       RequirePositive(exp, "server.completed.ok", &problems);
-      // Every completion is delivered exactly once, either by a commit ack
-      // (async group commit) or inline by the worker.
-      RequireEq(exp, "server.async_acks + server.sync_acks != server.completed",
-                Counter(exp, "server.async_acks") +
-                    Counter(exp, "server.sync_acks"),
-                Counter(exp, "server.completed"), &problems);
       if (ParamBool(exp, "overload")) {
         // A 2x-capacity offered load into a shallow bounded queue must shed.
         RequirePositive(exp, "server.shed", &problems);
@@ -731,106 +683,46 @@ std::vector<std::string> CheckInvariants(const json::Value& doc) {
         RequirePositive(exp, "server.async_acks", &problems);
         const int64_t batches = HistogramCount(exp, "log.epoch_batch");
         if (batches <= 0) {
-          const json::Value* name = exp.Find("name");
-          problems.push_back(
-              (name != nullptr ? name->as_string() : std::string("?")) +
-              ": log.epoch_batch histogram empty under async group commit (" +
-              std::to_string(batches) + ")");
+          Report(exp,
+                 "log.epoch_batch histogram empty under async group commit (" +
+                     std::to_string(batches) + ")",
+                 &problems);
         }
       }
-    } else if (engine == "sched") {
-      // A scheduling experiment runs mysqlmini through the service layer,
-      // so both accounting contracts apply: lock grants observed exactly
-      // once, and admission totals exact.
-      RequireEq(exp, "lock.grants.total != mysql.lock_acquisitions",
-                Counter(exp, "lock.grants.total"),
-                Counter(exp, "mysql.lock_acquisitions"), &problems);
-      RequirePositive(exp, "lock.grants.total", &problems);
-      RequireEq(exp,
-                "server.admitted + server.shed + server.rejected_recovering"
-                " != server.submitted",
-                Counter(exp, "server.admitted") + Counter(exp, "server.shed") +
-                    Counter(exp, "server.rejected_recovering"),
-                Counter(exp, "server.submitted"), &problems);
-      RequireEq(exp,
-                "server.completed + server.expired + server.drain_aborted != "
-                "server.admitted",
-                Counter(exp, "server.completed") +
-                    Counter(exp, "server.expired") +
-                    Counter(exp, "server.drain_aborted"),
-                Counter(exp, "server.admitted"), &problems);
-      RequireEq(exp, "server.queue_depth not drained at quiesce",
-                GaugeValue(exp, "server.queue_depth"), 0, &problems);
-      RequirePositive(exp, "server.submitted", &problems);
-      RequirePositive(exp, "server.completed.ok", &problems);
+      if (engine == "sched") RequirePositive(exp, "lock.grants.total", &problems);
       if (ParamBool(exp, "cp")) {
         // Prediction accounting (docs/scheduling.md): every steered pop
-        // scored something; every flagged request was classified exactly
-        // once at completion; a request is flagged at most once; and every
+        // scored something, a request is flagged at most once, and every
         // flag event was a skip event.
         RequirePositive(exp, "sched.predictions", &problems);
-        RequireEq(exp, "sched.hits + sched.false_positives != sched.flagged",
-                  Counter(exp, "sched.hits") +
-                      Counter(exp, "sched.false_positives"),
-                  Counter(exp, "sched.flagged"), &problems);
-        RequireEq(exp, "server.steer_delayed != sched.flagged",
-                  Counter(exp, "server.steer_delayed"),
-                  Counter(exp, "sched.flagged"), &problems);
         if (Counter(exp, "sched.flagged") > Counter(exp, "server.admitted")) {
-          const json::Value* name = exp.Find("name");
-          problems.push_back(
-              (name != nullptr ? name->as_string() : std::string("?")) +
-              ": sched.flagged exceeds server.admitted");
+          Report(exp, "sched.flagged exceeds server.admitted", &problems);
         }
         if (Counter(exp, "sched.steer_delays") <
             Counter(exp, "sched.flagged")) {
-          const json::Value* name = exp.Find("name");
-          problems.push_back(
-              (name != nullptr ? name->as_string() : std::string("?")) +
-              ": sched.steer_delays below sched.flagged");
+          Report(exp, "sched.steer_delays below sched.flagged", &problems);
         }
       }
+      if (engine == "tuning") {
+        // The TrialRunner's per-trial counter sums to the replicate count.
+        RequireEq(exp, "tuning.trials_run != replicates",
+                  Counter(exp, "tuning.trials_run"),
+                  ParamInt(exp, "replicates"), &problems);
+      }
     } else if (engine == "repl") {
-      // A replication experiment is mysqlmini with K>1 copies, so the lock
-      // accounting contract applies, plus the quorum ack ledger: every
-      // submitted commit is acked by a quorum, still parked, or resolved
-      // lost — nothing unaccounted (docs/replication.md).
-      RequireEq(exp, "lock.grants.total != mysql.lock_acquisitions",
-                Counter(exp, "lock.grants.total"),
-                Counter(exp, "mysql.lock_acquisitions"), &problems);
+      // Synchronous commits on a healthy run quiesce fully acked: no parked
+      // or lost tail (docs/replication.md).
       RequirePositive(exp, "lock.grants.total", &problems);
-      const int64_t waiting_raw = GaugeValue(exp, "repl.acks_waiting");
-      const int64_t waiting = waiting_raw == INT64_MIN ? 0 : waiting_raw;
-      RequireEq(exp,
-                "repl.acks_quorum + repl.acks_waiting + repl.acks_lost != "
-                "repl.commits_submitted",
-                Counter(exp, "repl.acks_quorum") + waiting +
-                    Counter(exp, "repl.acks_lost"),
-                Counter(exp, "repl.commits_submitted"), &problems);
-      // Synchronous commits quiesce fully acked: no parked or lost tail.
-      RequireEq(exp, "repl.acks_waiting not drained at quiesce", waiting, 0,
-                &problems);
+      RequireEq(exp, "repl.acks_waiting not drained at quiesce",
+                LedgerValue(exp, "repl.acks_waiting"), 0, &problems);
       RequireEq(exp, "repl.acks_lost nonzero on a healthy run",
                 Counter(exp, "repl.acks_lost"), 0, &problems);
       RequirePositive(exp, "repl.commits_submitted", &problems);
       RequirePositive(exp, "repl.ships", &problems);
       RequirePositive(exp, "repl.ship_bytes", &problems);
     } else if (engine == "sharded") {
-      // Each shard is a full mysqlmini, so lock-grant accounting still
-      // holds across the union of shards, and the 2PC ledger is exact:
-      // every coordinated cross-shard round either fully prepared or
-      // presumed abort before the decision — nothing in between
-      // (docs/sharding.md).
-      RequireEq(exp, "lock.grants.total != mysql.lock_acquisitions",
-                Counter(exp, "lock.grants.total"),
-                Counter(exp, "mysql.lock_acquisitions"), &problems);
       RequirePositive(exp, "lock.grants.total", &problems);
       RequirePositive(exp, "shard.single_shard_txns", &problems);
-      RequireEq(exp,
-                "2pc.prepared + 2pc.aborted_presumed != 2pc.coordinated",
-                Counter(exp, "2pc.prepared") +
-                    Counter(exp, "2pc.aborted_presumed"),
-                Counter(exp, "2pc.coordinated"), &problems);
       if (ParamInt(exp, "num_shards") > 1) {
         // Multi-op YCSB over hash partitions must actually cross shards.
         RequirePositive(exp, "shard.cross_shard_txns", &problems);
@@ -843,40 +735,41 @@ std::vector<std::string> CheckInvariants(const json::Value& doc) {
                   Counter(exp, "shard.cross_shard_txns"), 0, &problems);
       }
     } else if (engine == "voltmini") {
-      RequireEq(exp, "volt.submits != volt.completions",
-                Counter(exp, "volt.submits"),
-                Counter(exp, "volt.completions"), &problems);
-      RequireEq(exp, "volt.queue_depth not drained at quiesce",
-                GaugeValue(exp, "volt.queue_depth"), 0, &problems);
       RequirePositive(exp, "volt.submits", &problems);
-    } else if (engine == "tuning") {
-      // A tdp_tune arm: its metrics block is the merged registry delta over
-      // the arm's replicates, so the TrialRunner's per-trial counter must
-      // sum to exactly the replicate count, and each replicate's service
-      // run obeys the same admission accounting as the server suite.
-      RequireEq(exp, "tuning.trials_run != replicates",
-                Counter(exp, "tuning.trials_run"),
-                ParamInt(exp, "replicates"), &problems);
-      RequireEq(exp,
-                "server.admitted + server.shed + server.rejected_recovering"
-                " != server.submitted",
-                Counter(exp, "server.admitted") + Counter(exp, "server.shed") +
-                    Counter(exp, "server.rejected_recovering"),
-                Counter(exp, "server.submitted"), &problems);
-      RequireEq(exp,
-                "server.completed + server.expired + server.drain_aborted != "
-                "server.admitted",
-                Counter(exp, "server.completed") +
-                    Counter(exp, "server.expired") +
-                    Counter(exp, "server.drain_aborted"),
-                Counter(exp, "server.admitted"), &problems);
-      RequireEq(exp, "server.queue_depth not drained at quiesce",
-                GaugeValue(exp, "server.queue_depth"), 0, &problems);
-      RequirePositive(exp, "server.submitted", &problems);
-      RequirePositive(exp, "server.completed.ok", &problems);
     }
   }
   return problems;
+}
+
+int GateDocument(const json::Value& doc, const std::string& schema_path,
+                 bool check, const char* tool) {
+  int failures = 0;
+  if (!schema_path.empty()) {
+    std::string schema_text;
+    json::Value schema;
+    std::string err;
+    if (!ReadFile(schema_path, &schema_text) ||
+        !json::Value::Parse(schema_text, &schema, &err)) {
+      std::fprintf(stderr, "%s: cannot load schema %s: %s\n", tool,
+                   schema_path.c_str(), err.c_str());
+      return -1;
+    }
+    for (const std::string& p : ValidateAgainstSchema(doc, schema)) {
+      std::fprintf(stderr, "schema drift: %s\n", p.c_str());
+      ++failures;
+    }
+    if (failures == 0) std::printf("schema: OK\n");
+  }
+  if (check) {
+    int violations = 0;
+    for (const std::string& p : CheckInvariants(doc)) {
+      std::fprintf(stderr, "invariant violated: %s\n", p.c_str());
+      ++violations;
+    }
+    if (violations == 0) std::printf("invariants: OK\n");
+    failures += violations;
+  }
+  return failures;
 }
 
 }  // namespace tdp::tools

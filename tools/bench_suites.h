@@ -37,10 +37,20 @@ json::Value RunSuite(const std::string& suite);
 std::vector<std::string> ValidateAgainstSchema(const json::Value& doc,
                                                const json::Value& schema);
 
-/// Cross-counter invariant checks over a suite document (e.g. lock grants
-/// == engine-observed acquisitions, WAL bytes == blocks * block size,
-/// queues drained at quiesce). Returns human-readable violations; empty
-/// means all invariants hold.
+/// Invariant checks over a suite document: every row of the ledger table
+/// (src/common/ledger.h) on every experiment, plus the per-engine checks
+/// that are not counter identities (counters that must be positive, WAL
+/// bytes == blocks * block size, queues drained at quiesce). Returns
+/// human-readable violations; empty means all invariants hold.
 std::vector<std::string> CheckInvariants(const json::Value& doc);
+
+/// The gate bench_runner and tdp_tune run on the document they wrote: with
+/// a `schema_path`, validates `doc` against that schema ("schema drift: ..."
+/// per problem, else "schema: OK"); with `check`, runs CheckInvariants
+/// ("invariant violated: ..." per problem, else "invariants: OK"). Returns
+/// the number of problems, or -1 when the schema cannot be loaded (reported
+/// as "<tool>: cannot load schema ...").
+int GateDocument(const json::Value& doc, const std::string& schema_path,
+                 bool check, const char* tool);
 
 }  // namespace tdp::tools

@@ -39,6 +39,7 @@
 
 #include "common/crash_point.h"
 #include "common/fault.h"
+#include "common/ledger.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "engine/mysqlmini.h"
@@ -75,6 +76,7 @@ struct AckRecord {
   std::mutex mu;
   int fires = 0;
   bool ok = false;
+  bool before_leader = false;  ///< Fired OK before the leader held it.
 };
 
 struct OracleTxn {
@@ -324,6 +326,10 @@ struct WorkloadHooks {
   std::function<void(uint64_t committed)> after_commit;
   uint64_t checkpoint_every = 0;  ///< 0 = no checkpoints.
   std::function<void()> checkpoint;
+  /// A replicated engine's leader log, or null. Every OK ack (sync: Commit
+  /// returned OK; async: the ack fired OK) must find the commit's frame
+  /// already durable in it: a quorum counts the leader's own copy.
+  const log::RedoLog* leader = nullptr;
 };
 
 // Runs the workload and records the ledger. An op or commit that fails
@@ -345,15 +351,28 @@ Ledger RunWorkload(uint64_t seed, engine::Connection* conn,
     }
     std::shared_ptr<AckRecord> ack;
     Status cs;
+    // The workload is the log's only appender, so the next LSN is this
+    // commit's.
+    const log::RedoLog* leader = hooks.leader;
+    const uint64_t lsn = leader != nullptr ? leader->next_lsn() : 0;
     if (hooks.async) {
       ack = std::make_shared<AckRecord>();
-      cs = conn->CommitAsync([ack](const Status& s) {
+      cs = conn->CommitAsync([ack, leader, lsn](const Status& s) {
         std::lock_guard<std::mutex> g(ack->mu);
         ++ack->fires;
         ack->ok = s.ok();
+        ack->before_leader =
+            s.ok() && leader != nullptr && leader->durable_lsn() < lsn;
       });
     } else {
       cs = conn->Commit();
+      if (cs.ok() && leader != nullptr && leader->durable_lsn() < lsn) {
+        *result = Failed(*result, "commit acked before the leader's copy was "
+                                  "durable: lsn " + std::to_string(lsn) +
+                                      ", leader durable " +
+                                      std::to_string(leader->durable_lsn()));
+        break;
+      }
     }
     const bool crashed_now = CrashPoints::Global().triggered();
     const Outcome outcome = hooks.outcome(txn, cs, crashed_now);
@@ -394,6 +413,12 @@ bool ResolveAcks(Ledger* ledger, SeedResult* result) {
         *result = Failed(*result, "async ack fired " +
                                       std::to_string(txn.ack->fires) +
                                       " times after log stop (want once)");
+        return false;
+      }
+      if (txn.ack->before_leader) {
+        *result = Failed(*result,
+                         "async ack fired OK before the leader's copy was "
+                         "durable");
         return false;
       }
       txn.acked = txn.ack->ok;
@@ -825,8 +850,11 @@ SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
 // commit would look like. Checks beyond it:
 //   * on kill/clean seeds every submitted commit acked OK (one dead
 //     minority replica never blocks commit), and
-//   * the ack ledger balances: commits_submitted == acks_quorum + acks_lost
-//     once the log stops.
+//   * every OK ack finds its frame durable on the leader's own copy (the
+//     quorum rule counts the leader; replicas alone never ack), and
+//   * the `repl` ledger row (src/common/ledger.cc) holds over the seed's
+//     registry delta once the log stops: every submitted commit acked,
+//     still parked, or lost.
 //
 // Contract:
 //   OK                    -> acked (sync: the quorum ack fired, so the frame
@@ -916,6 +944,8 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
   const ReplPlan plan = MakeReplPlan(seed, &rng);
 
   CrashPoints::Global().Reset();
+  const metrics::MetricsSnapshot before =
+      metrics::Registry::Global().TakeSnapshot();
   engine::MySQLMiniConfig cfg = LiveMysqlConfig(seed, plan.async_epoch);
   cfg.log_epoch_interval_ns = 200 * 1000;
   cfg.repl_replicas = plan.replicas;
@@ -960,6 +990,7 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
   };
   hooks.checkpoint_every = plan.use_checkpoints ? plan.checkpoint_every : 0;
   hooks.checkpoint = [&] { ckpt_slot.Save(mysql->TakeCheckpoint()); };
+  hooks.leader = &mysql->redo_log();
   auto conn = mysql->Connect();
   Ledger ledger = RunWorkload(seed, conn.get(), hooks, &rng, &result);
   if (!result.ok) return result;
@@ -988,15 +1019,12 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
   CrashPoints::Global().Reset();
 
   // Ack ledger: every submitted commit resolved exactly one way.
-  const repl::QuorumLog::Stats& qs = ql->stats();
-  if (qs.commits_submitted.load() !=
-      qs.acks_quorum.load() + qs.acks_lost.load()) {
-    return Failed(result, "ack ledger out of balance: submitted " +
-                              std::to_string(qs.commits_submitted.load()) +
-                              " != quorum " +
-                              std::to_string(qs.acks_quorum.load()) +
-                              " + lost " +
-                              std::to_string(qs.acks_lost.load()));
+  if (const std::vector<std::string> v = metrics::CheckLedger(
+          metrics::MetricsSnapshot::Delta(
+              before, metrics::Registry::Global().TakeSnapshot()),
+          {"repl"});
+      !v.empty()) {
+    return Failed(result, "ledger out of balance: " + v[0]);
   }
 
   // Availability: with no crash and at most one dead minority replica (or a
@@ -1087,8 +1115,9 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
 // committed + the undecided tail in full". This is ATOMICITY: a cross-shard
 // transaction recovered on some shards but not others matches neither.
 // Checks beyond it:
-//   * LEDGER: 2pc.prepared + 2pc.aborted_presumed == 2pc.coordinated over
-//     the seed (the bench_suites invariant, checked at fuzzer granularity),
+//   * LEDGER: the `2pc` row (src/common/ledger.cc) holds over the seed's
+//     registry delta: every coordinated round fully prepared or presumed
+//     abort,
 //   * every shard's image decodes without DataLoss (torn-tail stops are
 //     expected; DataLoss would be a framing bug).
 //
@@ -1166,14 +1195,9 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
   SetupSchema(sharded.get());
 
   auto& reg = metrics::Registry::Global();
-  metrics::Counter* c_coordinated = reg.GetCounter("2pc.coordinated");
-  metrics::Counter* c_prepared = reg.GetCounter("2pc.prepared");
-  metrics::Counter* c_aborted = reg.GetCounter("2pc.aborted_presumed");
-  metrics::Counter* c_decisions = reg.GetCounter("2pc.decisions");
-  const uint64_t coordinated0 = c_coordinated->value();
-  const uint64_t prepared0 = c_prepared->value();
-  const uint64_t aborted0 = c_aborted->value();
-  const uint64_t decisions0 = c_decisions->value();
+  const metrics::MetricsSnapshot before = reg.TakeSnapshot();
+  // Read live by the outcome hook.
+  const metrics::Counter* c_aborted = reg.GetCounter("2pc.aborted_presumed");
 
   if (!plan.crash_point.empty()) {
     CrashPoints::Global().Arm(plan.crash_point, plan.crash_occurrence);
@@ -1182,7 +1206,7 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
   // --- workload ------------------------------------------------------------
   std::vector<CheckpointSlot> ckpt_slots(static_cast<size_t>(plan.num_shards));
   uint64_t cross_txns = 0;
-  uint64_t aborted_seen = aborted0;
+  uint64_t aborted_seen = c_aborted->value();
   WorkloadHooks hooks;
   hooks.outcome = [&](const OracleTxn& txn, const Status& s,
                       bool crashed_now) {
@@ -1209,17 +1233,12 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
   // Sync commits only: OK == acked == durable in this mode.
   if (!ResolveAcks(&ledger, &result)) return result;
 
-  // --- 2PC ledger (bench_suites invariant at fuzzer granularity) -----------
-  const uint64_t coordinated_d = c_coordinated->value() - coordinated0;
-  const uint64_t prepared_d = c_prepared->value() - prepared0;
-  const uint64_t aborted_d = c_aborted->value() - aborted0;
-  const uint64_t decisions_d = c_decisions->value() - decisions0;
-  if (prepared_d + aborted_d != coordinated_d) {
-    return Failed(result, "2pc ledger out of balance: prepared " +
-                              std::to_string(prepared_d) +
-                              " + aborted_presumed " +
-                              std::to_string(aborted_d) + " != coordinated " +
-                              std::to_string(coordinated_d));
+  // --- 2PC ledger ----------------------------------------------------------
+  const metrics::MetricsSnapshot delta =
+      metrics::MetricsSnapshot::Delta(before, reg.TakeSnapshot());
+  if (const std::vector<std::string> v = metrics::CheckLedger(delta, {"2pc"});
+      !v.empty()) {
+    return Failed(result, "ledger out of balance: " + v[0]);
   }
 
   // --- reboot --------------------------------------------------------------
@@ -1300,10 +1319,10 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
         ledger.undecided > 0 ? 1 : 0,
         ledger.crashed_by.empty() ? "none" : ledger.crashed_by.c_str(),
         plan.use_checkpoints ? 1 : 0, plan.torn_tail ? 1 : 0,
-        static_cast<unsigned long long>(coordinated_d),
-        static_cast<unsigned long long>(prepared_d),
-        static_cast<unsigned long long>(aborted_d),
-        static_cast<unsigned long long>(decisions_d),
+        static_cast<unsigned long long>(delta.counter("2pc.coordinated")),
+        static_cast<unsigned long long>(delta.counter("2pc.prepared")),
+        static_cast<unsigned long long>(delta.counter("2pc.aborted_presumed")),
+        static_cast<unsigned long long>(delta.counter("2pc.decisions")),
         static_cast<unsigned long long>(tstats.replayed_decisions),
         static_cast<unsigned long long>(tstats.replayed_prepared),
         static_cast<unsigned long long>(tstats.presumed_aborted));
