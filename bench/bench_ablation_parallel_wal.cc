@@ -13,7 +13,7 @@ namespace {
 core::Metrics RunSets(int sets, uint64_t n) {
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.tps = 350;
-  driver.connections = 128;  // pgmini: deep pools destabilize the WAL mutex
+  driver.service.workers = 128;  // deep pgmini pools destabilize the WAL
   driver.num_txns = n;
   driver.warmup_txns = n / 10;
   core::Metrics m = bench::PooledRuns(

@@ -73,23 +73,18 @@ ArmResult RunArm(const Arm& arm, MakeWl&& make_wl, double offered_tps,
     std::unique_ptr<workload::Workload> wl = make_wl();
     wl->Load(db.get());
 
-    server::ServiceConfig svc_cfg;
-    svc_cfg.workers = 8;
-    svc_cfg.max_queue_depth = 65536;  // deep queue: compare latency, not shed
-    svc_cfg.policy = arm.dispatch;
-    svc_cfg.retry.max_attempts = 1;
-    server::TransactionService svc(db.get(), svc_cfg);
-    svc.Start();
-
     workload::DriverConfig driver;
     driver.tps = offered_tps;
     driver.num_txns = n;
     driver.warmup_txns = n / 10;
     driver.seed = seed;
     driver.arrival = workload::ArrivalProcess::kPoisson;
-    const workload::RunResult run = workload::RunService(&svc, wl.get(), driver);
-    svc.Shutdown();
-    out.stats = svc.stats();
+    driver.service = server::ServiceConfig{};  // one attempt per dispatch
+    driver.service.workers = 8;
+    driver.service.max_queue_depth = 65536;  // compare latency, not shed
+    driver.service.policy = arm.dispatch;
+    const workload::RunResult run = workload::Run(db.get(), wl.get(), driver);
+    out.stats = run.stats;
 
     out.latencies.insert(out.latencies.end(), run.latencies.begin(),
                          run.latencies.end());

@@ -37,7 +37,7 @@ engine::MySQLMiniConfig FaultEngine(FaultInjector* log_fault) {
 workload::DriverConfig FaultDriver(uint64_t n) {
   workload::DriverConfig cfg;
   cfg.tps = 1200;
-  cfg.connections = 16;
+  cfg.service.workers = 16;
   cfg.num_txns = n;
   cfg.warmup_txns = n / 10;
   return cfg;
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   workload::DriverConfig dcfg = FaultDriver(bench::N(6000));
   dcfg.warmup_txns = 0;
   inj.Arm();
-  const workload::RunResult run = RunConstantRate(db.get(), &tpcc, dcfg);
+  const workload::RunResult run = workload::Run(db.get(), &tpcc, dcfg);
   inj.Disarm();
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
 

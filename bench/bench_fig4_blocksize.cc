@@ -12,7 +12,7 @@ namespace {
 core::Metrics RunBlock(uint64_t block_bytes, uint64_t n) {
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.tps = 260;
-  driver.connections = 128;  // pgmini: deep pools destabilize the WAL mutex
+  driver.service.workers = 128;  // deep pgmini pools destabilize the WAL
   driver.num_txns = n;
   driver.warmup_txns = n / 10;
   core::Metrics m = bench::PooledRuns(

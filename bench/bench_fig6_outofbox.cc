@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   {
     workload::DriverConfig driver = core::Toolkit::DriverDefault();
     driver.tps = 350;
-    driver.connections = 128;  // pgmini: deep pools destabilize the WAL mutex
+    driver.service.workers = 128;  // deep pgmini pools destabilize the WAL
     driver.num_txns = n;
     driver.warmup_txns = n / 10;
     const core::Metrics m = bench::PooledRuns(

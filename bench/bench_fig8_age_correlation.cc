@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.num_txns = bench::N(10000);
   driver.warmup_txns = driver.num_txns / 10;
-  RunConstantRate(&db, &tpcc, driver, [&](const workload::TxnEvent& ev) {
+  workload::Run(&db, &tpcc, driver, [&](const workload::TxnEvent& ev) {
     std::lock_guard<std::mutex> g(mu);
     auto it = waits_by_txn.find(ev.engine_txn_id);
     if (it == waits_by_txn.end()) return;

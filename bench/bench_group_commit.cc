@@ -13,18 +13,12 @@
 //      decouples from flush latency while the ack (and so the measured
 //      server.latency_ns) still waits for durability.
 //
-// Expected shape: async sustains a higher closed-loop capacity and, at an
-// offered load the blocking config cannot absorb, higher achieved TPS with
+// Expected shape: async sustains a higher capacity and, at an offered load
+// the blocking config cannot absorb, higher achieved TPS with
 // equal-or-lower p99.9 (the epoch adds <= one epoch_interval of parking but
 // removes the worker-pool convoy behind the flush).
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "bench/bench_util.h"
-#include "common/clock.h"
 #include "engine/factory.h"
-#include "server/service.h"
 #include "workload/driver.h"
 
 using namespace tdp;
@@ -91,55 +85,28 @@ server::ServiceConfig ServiceBase(bool async_ack) {
   return cfg;
 }
 
-/// Closed-loop capacity: more clients than workers keeps the pool saturated;
-/// completed/second is what the commit protocol can sustain.
-double MeasureCapacity(bool async_commit, uint64_t txns_per_client) {
+/// Capacity: all `n` arrivals are due at once into a queue that holds them,
+/// so the pool never idles; completed/second is what the commit protocol
+/// can sustain.
+double MeasureCapacity(bool async_commit, uint64_t n) {
   auto db = MakeDb(async_commit);
   Increments wl;
   wl.Load(db.get());
 
-  server::ServiceConfig cfg = ServiceBase(async_commit);
-  cfg.max_queue_depth = 4096;
-  server::TransactionService svc(db.get(), cfg);
-  svc.Start();
-
-  constexpr int kClients = 32;
-  std::atomic<uint64_t> ok{0};
-  const int64_t start = NowNanos();
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(100 + static_cast<uint64_t>(c));
-      for (uint64_t i = 0; i < txns_per_client; ++i) {
-        workload::Workload::Txn t = wl.NextTxn(&rng);
-        const server::Response r = svc.Execute(std::move(t.body));
-        if (r.status.ok()) ok.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double elapsed_s = NanosToSeconds(NowNanos() - start);
-  svc.Shutdown();
-  return elapsed_s > 0 ? static_cast<double>(ok.load()) / elapsed_s : 0;
+  workload::DriverConfig driver;
+  driver.tps = 1e9;
+  driver.num_txns = n;
+  driver.warmup_txns = 0;
+  driver.service = ServiceBase(async_commit);
+  driver.service.max_queue_depth = n;
+  return workload::Run(db.get(), &wl, driver).achieved_tps;
 }
 
-struct LegResult {
-  core::Metrics metrics;
-  workload::RunResult run;
-  server::TransactionService::Stats stats;
-};
-
-LegResult RunLeg(bool async_commit, double offered_tps, uint64_t n,
-                 uint64_t seed) {
+workload::RunResult RunLeg(bool async_commit, double offered_tps, uint64_t n,
+                           uint64_t seed) {
   auto db = MakeDb(async_commit);
   Increments wl;
   wl.Load(db.get());
-
-  server::ServiceConfig cfg = ServiceBase(async_commit);
-  cfg.max_queue_depth = 65536;  // deep queue: compare latency, not shedding
-  server::TransactionService svc(db.get(), cfg);
-  svc.Start();
 
   workload::DriverConfig driver;
   driver.tps = offered_tps;
@@ -147,12 +114,9 @@ LegResult RunLeg(bool async_commit, double offered_tps, uint64_t n,
   driver.warmup_txns = n / 10;
   driver.seed = seed;
   driver.arrival = workload::ArrivalProcess::kPoisson;
-
-  LegResult out;
-  out.run = workload::RunService(&svc, &wl, driver);
-  svc.Shutdown();
-  out.stats = svc.stats();
-  out.metrics = core::Metrics::From(out.run);
+  driver.service = ServiceBase(async_commit);
+  driver.service.max_queue_depth = 65536;  // compare latency, not shedding
+  const workload::RunResult out = workload::Run(db.get(), &wl, driver);
 
   // The async-ack accounting identity must hold on every leg (the bench
   // smoke suite asserts it from the metrics snapshot too).
@@ -173,7 +137,7 @@ int main(int argc, char** argv) {
   bench::InitReport(argc, argv, "bench_group_commit");
   bench::Header("Group commit: blocking eager vs epoch-based async ack");
 
-  const uint64_t cap_txns = bench::N(400);
+  const uint64_t cap_txns = bench::N(12800);
   const double cap_blocking = MeasureCapacity(false, cap_txns);
   const double cap_async = MeasureCapacity(true, cap_txns);
   std::printf("%-28s %.0f tps\n", "capacity.blocking", cap_blocking);
@@ -188,16 +152,18 @@ int main(int argc, char** argv) {
   // absorb, comfortably inside async's capacity.
   const double offered = 1.2 * cap_blocking;
   const uint64_t n = bench::N(5000);
-  const LegResult blocking = RunLeg(false, offered, n, 7);
-  const LegResult async_leg = RunLeg(true, offered, n, 7);
+  const workload::RunResult blocking = RunLeg(false, offered, n, 7);
+  const workload::RunResult async_leg = RunLeg(true, offered, n, 7);
+  const core::Metrics blocking_m = core::Metrics::From(blocking);
+  const core::Metrics async_m = core::Metrics::From(async_leg);
 
-  bench::PrintMetrics("blocking.eager", blocking.metrics);
-  bench::PrintMetrics("async.epoch", async_leg.metrics);
+  bench::PrintMetrics("blocking.eager", blocking_m);
+  bench::PrintMetrics("async.epoch", async_m);
   std::printf("%-28s blocking=%.0f async=%.0f tps at offered %.0f\n",
-              "achieved_tps", blocking.run.achieved_tps,
-              async_leg.run.achieved_tps, offered);
+              "achieved_tps", blocking.achieved_tps, async_leg.achieved_tps,
+              offered);
   std::printf("%-28s blocking=%.3fms async=%.3fms\n", "p99.9",
-              blocking.metrics.p999_ms, async_leg.metrics.p999_ms);
+              blocking_m.p999_ms, async_m.p999_ms);
   std::printf("%-28s async_acks=%llu sync_acks=%llu completed=%llu\n",
               "async.accounting",
               static_cast<unsigned long long>(async_leg.stats.async_acks),
@@ -205,16 +171,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(async_leg.stats.completed));
 
   bench::Report::Global().AddValue("blocking.achieved_tps",
-                                   blocking.run.achieved_tps);
+                                   blocking.achieved_tps);
   bench::Report::Global().AddValue("async.achieved_tps",
-                                   async_leg.run.achieved_tps);
-  bench::Report::Global().AddValue("blocking.p999_ms",
-                                   blocking.metrics.p999_ms);
-  bench::Report::Global().AddValue("async.p999_ms", async_leg.metrics.p999_ms);
+                                   async_leg.achieved_tps);
+  bench::Report::Global().AddValue("blocking.p999_ms", blocking_m.p999_ms);
+  bench::Report::Global().AddValue("async.p999_ms", async_m.p999_ms);
   bench::Report::Global().AddValue(
-      "async.tps_ratio", blocking.run.achieved_tps > 0
-                             ? async_leg.run.achieved_tps /
-                                   blocking.run.achieved_tps
-                             : 0);
+      "async.tps_ratio",
+      blocking.achieved_tps > 0
+          ? async_leg.achieved_tps / blocking.achieved_tps
+          : 0);
   return 0;
 }

@@ -2,7 +2,7 @@
 // TransactionService vs. offered load (DESIGN.md "The server layer").
 //
 // Four legs over the same contended hot-row workload on mysqlmini:
-//   1. saturation  — closed-loop (one client per worker) measures the
+//   1. saturation  — a burst that keeps every worker busy measures the
 //                    service capacity S.
 //   2. overload    — open-loop Poisson arrivals at 2x S against a bounded
 //                    queue: the door sheds the excess (Overloaded count > 0)
@@ -14,14 +14,9 @@
 //                    time, so eldest-first pulls them forward — the VATS
 //                    argument applied at the front door; p99.9 should be no
 //                    worse than FIFO.
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "bench/bench_util.h"
 #include "common/clock.h"
 #include "engine/factory.h"
-#include "server/service.h"
 #include "workload/driver.h"
 
 using namespace tdp;
@@ -95,55 +90,28 @@ server::ServiceConfig ServiceBase() {
   return cfg;
 }
 
-/// Closed-loop capacity: one caller per worker keeps the pool saturated
-/// with zero queueing, so completed/second == service capacity.
-double MeasureSaturation(uint64_t txns_per_client) {
+/// Capacity: all `n` arrivals are due at once into a queue that holds them,
+/// so the pool never idles and completed/second == service capacity.
+double MeasureSaturation(uint64_t n) {
   auto db = MakeDb();
   HotPair wl;
   wl.Load(db.get());
 
-  server::ServiceConfig cfg = ServiceBase();
-  cfg.max_queue_depth = 2 * static_cast<size_t>(cfg.workers);
-  server::TransactionService svc(db.get(), cfg);
-  svc.Start();
-
-  std::atomic<uint64_t> ok{0};
-  const int64_t start = NowNanos();
-  std::vector<std::thread> clients;
-  clients.reserve(cfg.workers);
-  for (int c = 0; c < cfg.workers; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(100 + static_cast<uint64_t>(c));
-      for (uint64_t i = 0; i < txns_per_client; ++i) {
-        workload::Workload::Txn t = wl.NextTxn(&rng);
-        const server::Response r = svc.Execute(std::move(t.body));
-        if (r.status.ok()) ok.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double elapsed_s = NanosToSeconds(NowNanos() - start);
-  svc.Shutdown();
-  return elapsed_s > 0 ? static_cast<double>(ok.load()) / elapsed_s : 0;
+  workload::DriverConfig driver;
+  driver.tps = 1e9;
+  driver.num_txns = n;
+  driver.warmup_txns = 0;
+  driver.service = ServiceBase();
+  driver.service.max_queue_depth = n;
+  return workload::Run(db.get(), &wl, driver).achieved_tps;
 }
 
-struct LegResult {
-  core::Metrics metrics;
-  workload::RunResult run;
-  server::TransactionService::Stats stats;
-};
-
-LegResult RunLeg(server::DispatchPolicy policy, size_t max_queue_depth,
-                 double offered_tps, uint64_t n, uint64_t seed) {
+workload::RunResult RunLeg(server::DispatchPolicy policy,
+                           size_t max_queue_depth, double offered_tps,
+                           uint64_t n, uint64_t seed) {
   auto db = MakeDb();
   HotPair wl;
   wl.Load(db.get());
-
-  server::ServiceConfig cfg = ServiceBase();
-  cfg.policy = policy;
-  cfg.max_queue_depth = max_queue_depth;
-  server::TransactionService svc(db.get(), cfg);
-  svc.Start();
 
   workload::DriverConfig driver;
   driver.tps = offered_tps;
@@ -151,13 +119,10 @@ LegResult RunLeg(server::DispatchPolicy policy, size_t max_queue_depth,
   driver.warmup_txns = n / 10;
   driver.seed = seed;
   driver.arrival = workload::ArrivalProcess::kPoisson;
-
-  LegResult out;
-  out.run = workload::RunService(&svc, &wl, driver);
-  svc.Shutdown();
-  out.stats = svc.stats();
-  out.metrics = core::Metrics::From(out.run);
-  return out;
+  driver.service = ServiceBase();
+  driver.service.policy = policy;
+  driver.service.max_queue_depth = max_queue_depth;
+  return workload::Run(db.get(), &wl, driver);
 }
 
 }  // namespace
@@ -166,21 +131,21 @@ int main(int argc, char** argv) {
   bench::InitReport(argc, argv, "bench_server_admission");
   bench::Header("Admission control: throughput and p99.9 vs offered load");
 
-  const double saturation = MeasureSaturation(bench::N(2000));
-  std::printf("%-28s %.0f tps (closed-loop, 8 workers)\n", "saturation",
+  const double saturation = MeasureSaturation(bench::N(16000));
+  std::printf("%-28s %.0f tps (saturating burst, 8 workers)\n", "saturation",
               saturation);
   bench::Report::Global().AddValue("saturation.tps", saturation);
 
   // Overload: 2x capacity into a shallow bounded queue. The door sheds the
   // excess; what is admitted still completes at ~saturation throughput.
   {
-    const LegResult leg =
+    const workload::RunResult leg =
         RunLeg(server::DispatchPolicy::kFifo, /*max_queue_depth=*/64,
                /*offered_tps=*/2 * saturation, bench::N(6000), /*seed=*/7);
-    bench::PrintMetrics("overload.2x", leg.metrics);
+    bench::PrintMetrics("overload.2x", core::Metrics::From(leg));
     const double admitted_tps =
-        leg.run.elapsed_s > 0
-            ? static_cast<double>(leg.stats.completed_ok) / leg.run.elapsed_s
+        leg.elapsed_s > 0
+            ? static_cast<double>(leg.stats.completed_ok) / leg.elapsed_s
             : 0;
     std::printf("%-28s shed=%llu admitted_tps=%.0f (%.2fx saturation)\n",
                 "overload.2x", static_cast<unsigned long long>(leg.stats.shed),
@@ -198,25 +163,25 @@ int main(int argc, char** argv) {
   {
     const double offered = 0.9 * saturation;
     const uint64_t n = bench::N(6000);
-    const LegResult fifo = RunLeg(server::DispatchPolicy::kFifo,
-                                  /*max_queue_depth=*/65536, offered, n, 7);
-    const LegResult eldest = RunLeg(server::DispatchPolicy::kEldestFirst,
-                                    /*max_queue_depth=*/65536, offered, n, 7);
-    bench::PrintMetrics("fifo.0.9x", fifo.metrics);
-    bench::PrintMetrics("eldest_first.0.9x", eldest.metrics);
+    const workload::RunResult fifo = RunLeg(
+        server::DispatchPolicy::kFifo, /*max_queue_depth=*/65536, offered, n, 7);
+    const workload::RunResult eldest =
+        RunLeg(server::DispatchPolicy::kEldestFirst,
+               /*max_queue_depth=*/65536, offered, n, 7);
+    const core::Metrics fifo_m = core::Metrics::From(fifo);
+    const core::Metrics eldest_m = core::Metrics::From(eldest);
+    bench::PrintMetrics("fifo.0.9x", fifo_m);
+    bench::PrintMetrics("eldest_first.0.9x", eldest_m);
     std::printf("%-28s fifo=%.3fms eldest_first=%.3fms (requeues %llu vs "
                 "%llu)\n",
-                "p99.9", fifo.metrics.p999_ms, eldest.metrics.p999_ms,
+                "p99.9", fifo_m.p999_ms, eldest_m.p999_ms,
                 static_cast<unsigned long long>(fifo.stats.requeues),
                 static_cast<unsigned long long>(eldest.stats.requeues));
-    bench::Report::Global().AddValue("fifo.p999_ms", fifo.metrics.p999_ms);
-    bench::Report::Global().AddValue("eldest_first.p999_ms",
-                                     eldest.metrics.p999_ms);
+    bench::Report::Global().AddValue("fifo.p999_ms", fifo_m.p999_ms);
+    bench::Report::Global().AddValue("eldest_first.p999_ms", eldest_m.p999_ms);
     bench::Report::Global().AddValue(
         "policy.p999_ratio",
-        eldest.metrics.p999_ms > 0
-            ? fifo.metrics.p999_ms / eldest.metrics.p999_ms
-            : 0);
+        eldest_m.p999_ms > 0 ? fifo_m.p999_ms / eldest_m.p999_ms : 0);
   }
   return 0;
 }

@@ -41,7 +41,7 @@ void ProfileConfig(const char* label, engine::MySQLMiniConfig cfg,
   driver.tps = tps;
   driver.num_txns = bench::N(6000);
   driver.warmup_txns = 0;  // profile everything
-  RunConstantRate(db.get(), &tpcc, driver);
+  workload::Run(db.get(), &tpcc, driver);
 
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
   tprof::VarianceAnalysis analysis(data,

@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
 
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.tps = 380;
-  driver.connections = 128;  // pgmini: deep pools destabilize the WAL mutex
+  driver.service.workers = 128;  // deep pgmini pools destabilize the WAL
   driver.num_txns = bench::N(6000);
   driver.warmup_txns = 0;
-  RunConstantRate(db.get(), &tpcc, driver);
+  workload::Run(db.get(), &tpcc, driver);
 
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
   tprof::VarianceAnalysis analysis(data,

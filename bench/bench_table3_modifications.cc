@@ -32,7 +32,7 @@ core::Metrics RunMysql(const engine::MySQLMiniConfig& cfg,
 core::Metrics RunPg(bool parallel, uint64_t n) {
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.tps = 350;
-  driver.connections = 128;  // pgmini: deep pools destabilize the WAL mutex
+  driver.service.workers = 128;  // deep pgmini pools destabilize the WAL
   driver.num_txns = n;
   driver.warmup_txns = n / 10;
   return bench::PooledRuns(

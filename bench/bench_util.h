@@ -71,9 +71,10 @@ core::Metrics PooledRuns(MakeDb&& make_db, MakeWl&& make_wl,
     auto db = make_db(r);
     auto wl = make_wl(r);
     driver.seed = 7 + static_cast<uint64_t>(r) * 7919;
-    const core::RunOutcome out = core::LoadAndRun(db.get(), wl.get(), driver);
-    all.insert(all.end(), out.run.latencies.begin(), out.run.latencies.end());
-    tps_sum += out.metrics.achieved_tps;
+    wl->Load(db.get());
+    const workload::RunResult run = workload::Run(db.get(), wl.get(), driver);
+    all.insert(all.end(), run.latencies.begin(), run.latencies.end());
+    tps_sum += run.achieved_tps;
   }
   core::Metrics m = core::Metrics::FromLatencies(all);
   m.achieved_tps = reps > 0 ? tps_sum / reps : 0;

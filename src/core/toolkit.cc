@@ -113,21 +113,12 @@ workload::DriverConfig Toolkit::DriverDefault() {
   // transactions) without tipping into dispatch backlog, where episode luck
   // would swamp the scheduler comparison.
   cfg.tps = 520;
-  // A deep connection pool keeps queueing inside the lock manager (where
-  // the scheduling policy acts) instead of in the client dispatch queue.
-  cfg.connections = 512;
+  // A deep worker pool keeps queueing inside the lock manager (where
+  // the scheduling policy acts) instead of in the admission queue.
+  cfg.service.workers = 512;
   cfg.num_txns = 8000;
   cfg.warmup_txns = 800;
   return cfg;
-}
-
-RunOutcome LoadAndRun(engine::Database* db, workload::Workload* wl,
-                      const workload::DriverConfig& config) {
-  wl->Load(db);
-  RunOutcome out;
-  out.run = RunConstantRate(db, wl, config);
-  out.metrics = Metrics::From(out.run);
-  return out;
 }
 
 }  // namespace tdp::core

@@ -1,7 +1,7 @@
 // The public facade: canonical engine configurations for the paper's
-// experimental setups and one-call run helpers. Benches, tests and examples
-// all build their scenarios from these so that calibration lives in exactly
-// one place.
+// experimental setups and the driver settings that go with them. Benches,
+// tests and examples all build their scenarios from these so that
+// calibration lives in exactly one place.
 #pragma once
 
 #include <memory>
@@ -41,13 +41,5 @@ struct Toolkit {
   /// The paper's constant-rate measurement setup (scaled to laptop runs).
   static workload::DriverConfig DriverDefault();
 };
-
-/// Loads `wl` into `db`, runs it, and returns both the raw run and metrics.
-struct RunOutcome {
-  workload::RunResult run;
-  Metrics metrics;
-};
-RunOutcome LoadAndRun(engine::Database* db, workload::Workload* wl,
-                      const workload::DriverConfig& config);
 
 }  // namespace tdp::core

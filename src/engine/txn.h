@@ -16,8 +16,7 @@
 namespace tdp::engine {
 
 struct RetryPolicy {
-  /// Total attempts, including the first; 1 means no retry. The driver's
-  /// legacy `max_retries` knob maps to `max_retries + 1`.
+  /// Total attempts, including the first; 1 means no retry.
   int max_attempts = 50;
   /// Base sleep before each retry. Successive sleeps grow by decorrelated
   /// jitter — drawn uniformly from [backoff_ns, 3x the previous sleep]

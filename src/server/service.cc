@@ -14,9 +14,12 @@ TransactionService::TransactionService(engine::Database* db,
       config_(std::move(config)),
       queue_(config_.policy, config_.max_queue_depth) {
   // Steering predictor: explicit config wins, else the engine's own (the
-  // one its lock manager feeds), else steering is off.
-  predictor_ = config_.predictor != nullptr ? config_.predictor
-                                            : db_->conflict_predictor();
+  // one its lock manager feeds), else steering is off. Only steered pops
+  // read the in-flight set, so no other policy registers into it.
+  if (config_.policy == DispatchPolicy::kConflictAware) {
+    predictor_ = config_.predictor != nullptr ? config_.predictor
+                                              : db_->conflict_predictor();
+  }
   // Routing tier: over a sharded engine the door classifies each declared
   // footprint by shard mask at Submit, so shard.routed_* exposes the
   // single/cross mix at admission time (the engine's own shard.*_txns
@@ -211,8 +214,7 @@ void TransactionService::WorkerLoop() {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // Only reachable when stopping.
-      if (config_.policy == DispatchPolicy::kConflictAware &&
-          predictor_ != nullptr) {
+      if (predictor_ != nullptr) {
         const int64_t now = NowNanos();
         queue_.PopSteered(
             &entry, now, config_.max_steer_delay_ns,
@@ -268,6 +270,12 @@ void TransactionService::WorkerLoop() {
     if (predictor_ != nullptr && !footprint.empty()) {
       predictor_->RegisterInflight(footprint);
     }
+    // Each attempt records its engine id while the request is certainly
+    // alive: an async ack cannot fire before the body has returned.
+    const engine::TxnBody body = [&req](engine::Connection& c) {
+      req.engine_txn_id = c.current_txn_id();
+      return req.body(c);
+    };
     Status s;
     if (config_.async_ack) {
       // Hand the request's completion to the commit ack: the worker is free
@@ -279,7 +287,7 @@ void TransactionService::WorkerLoop() {
       outstanding_acks_.fetch_add(1, std::memory_order_acq_rel);
       Request* raw = entry.item.release();
       s = engine::RunTxnAsync(
-          *conn, config_.retry, raw->body,
+          *conn, config_.retry, body,
           [this, raw, dispatch_ns](const Status& st) {
             std::unique_ptr<Request> owned(raw);
             completed_.fetch_add(1, std::memory_order_relaxed);
@@ -320,7 +328,7 @@ void TransactionService::WorkerLoop() {
       }
     } else {
       engine::TxnStats txn_stats;
-      s = engine::RunTxn(*conn, config_.retry, req.body, &txn_stats);
+      s = engine::RunTxn(*conn, config_.retry, body, &txn_stats);
       if (predictor_ != nullptr && !footprint.empty()) {
         predictor_->UnregisterInflight(footprint);
       }
@@ -379,6 +387,7 @@ void TransactionService::Complete(std::unique_ptr<Request> req, Status status,
   r.dispatch_ns = dispatch_ns;
   r.done_ns = done_ns;
   r.dispatches = req->dispatches;
+  r.engine_txn_id = req->engine_txn_id;
   req->done(r);
 }
 

@@ -81,7 +81,8 @@ struct ServiceConfig {
   /// Conflict predictor for kConflictAware steering (docs/scheduling.md).
   /// Not owned; must outlive the service. When null, the service asks the
   /// database for its predictor (Database::conflict_predictor()); if that is
-  /// also null, kConflictAware degrades to kEldestFirst.
+  /// also null, kConflictAware degrades to kEldestFirst. The other policies
+  /// never consult a predictor, so they leave its in-flight set alone.
   sched::ConflictPredictor* predictor = nullptr;
   /// No-starvation bound for kConflictAware: an entry whose queue age
   /// reaches this dispatches regardless of its conflict score.
@@ -97,6 +98,8 @@ struct Response {
   int64_t dispatch_ns = 0;  ///< Last dispatch off the queue; 0 if shed.
   int64_t done_ns = 0;      ///< Completion (callback) time.
   int dispatches = 0;       ///< Times it left the queue; 0 if shed.
+  /// Connection::current_txn_id() of the last attempt; 0 if never run.
+  uint64_t engine_txn_id = 0;
 };
 
 class TransactionService {
@@ -186,6 +189,9 @@ class TransactionService {
     /// conflict abort). Written only while the worker exclusively owns the
     /// request, read at Complete.
     bool saw_conflict = false;
+    /// The engine id of the last attempt (Response::engine_txn_id). Written
+    /// by the worker while it runs the body, read at Complete.
+    uint64_t engine_txn_id = 0;
   };
   using Queue = AdmissionQueue<std::unique_ptr<Request>>;
 
@@ -197,7 +203,8 @@ class TransactionService {
 
   engine::Database* const db_;
   const ServiceConfig config_;
-  /// Resolved steering predictor: config_.predictor, else the database's.
+  /// Resolved steering predictor under kConflictAware: config_.predictor,
+  /// else the database's. Null under every other policy.
   sched::ConflictPredictor* predictor_ = nullptr;
   /// Routing tier: set when db_ is an engine::ShardedDatabase, else null
   /// (single-node engines have no shards to route to).

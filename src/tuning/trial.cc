@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "core/toolkit.h"
-#include "server/service.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
@@ -117,28 +116,25 @@ TrialMeasurement TrialRunner::Measure(const KnobConfig& knobs, int replicate) {
   }
   wl->Load(db.value().get());
 
-  server::ServiceConfig svc_cfg;
-  svc_cfg.workers = knobs.workers;
-  svc_cfg.max_queue_depth = config_.max_queue_depth;
-  svc_cfg.policy = config_.dispatch;
-  // One dispatch per attempt so retryable aborts requeue and the dispatch
-  // policy acts on them (the service-layer measurement posture).
-  svc_cfg.retry.max_attempts = 1;
-  // Epoch-commit arms acknowledge at commit-ack time so the scored
-  // server.latency_ns includes epoch parking (the tuner must see the wait
-  // it is trading throughput against).
-  svc_cfg.async_ack = knobs.epoch_interval_ns > 0;
-  server::TransactionService svc(db.value().get(), svc_cfg);
-  svc.Start();
-
   workload::DriverConfig driver;
   driver.tps = config_.tps;
   driver.num_txns = config_.num_txns;
   driver.warmup_txns = config_.warmup_txns;
   driver.seed = seed;
   driver.arrival = config_.arrival;
-  const workload::RunResult run = workload::RunService(&svc, wl.get(), driver);
-  svc.Shutdown();
+  // The service defaults run one attempt per dispatch, so retryable aborts
+  // requeue and the dispatch policy acts on them (the service-layer
+  // measurement posture).
+  driver.service = server::ServiceConfig{};
+  driver.service.workers = knobs.workers;
+  driver.service.max_queue_depth = config_.max_queue_depth;
+  driver.service.policy = config_.dispatch;
+  // Epoch-commit arms acknowledge at commit-ack time so the scored
+  // server.latency_ns includes epoch parking (the tuner must see the wait
+  // it is trading throughput against).
+  driver.service.async_ack = knobs.epoch_interval_ns > 0;
+  const workload::RunResult run = workload::Run(db.value().get(), wl.get(),
+                                                driver);
 
   // Count the trial before the closing snapshot so this replicate's delta
   // carries its own tuning.trials_run increment (the invariant the bench
@@ -155,7 +151,7 @@ TrialMeasurement TrialRunner::Measure(const KnobConfig& knobs, int replicate) {
   out.latency = out.delta.histogram("server.latency_ns");
   out.achieved_tps = run.achieved_tps;
   out.committed = run.committed;
-  out.shed = run.shed;
+  out.shed = run.stats.shed;
   return out;
 }
 

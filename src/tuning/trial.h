@@ -75,9 +75,9 @@ engine::EngineConfig MaterializeEngineConfig(const KnobConfig& knobs,
                                              const TrialConfig& trial,
                                              uint64_t seed);
 
-/// The real thing: OpenDatabase + TPC-C load + TransactionService +
-/// RunService per Measure() call. Each call is a fresh database (no state
-/// leaks between replicates or arms).
+/// The real thing: OpenDatabase + TPC-C load + workload::Run through a
+/// TransactionService built from the knobs, per Measure() call. Each call is
+/// a fresh database (no state leaks between replicates or arms).
 class TrialRunner : public TrialSource {
  public:
   explicit TrialRunner(TrialConfig config);

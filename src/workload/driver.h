@@ -1,19 +1,20 @@
 // Open-loop benchmark driver (the OLTP-Bench substitute).
 //
-// A dispatcher thread issues transactions at a target rate (the paper
-// sustains 500 tps) into a queue served by a pool of connection threads
-// (thread-per-connection). Latency is measured from each transaction's
-// *intended* dispatch time to its commit, so queueing delay caused by slow
-// transactions ahead of it is part of the measurement — exactly the
-// open-loop methodology the paper's variance numbers need. Arrivals are
-// either evenly spaced (kConstant) or a Poisson process (kPoisson,
-// exponential inter-arrival gaps at the same mean rate), the natural model
-// for independent clients and the one that exercises admission control
-// with realistic bursts.
+// Run() starts a server::TransactionService over the database, submits
+// transactions into it at a target rate (the paper sustains 500 tps), and
+// shuts it down once every transaction has finished. Latency is measured
+// from each transaction's *intended* dispatch time to its commit, so
+// queueing delay caused by slow transactions ahead of it is part of the
+// measurement — exactly the open-loop methodology the paper's variance
+// numbers need. Arrivals are either evenly spaced (kConstant) or a Poisson
+// process (kPoisson, exponential inter-arrival gaps at the same mean rate),
+// the natural model for independent clients and the one that exercises
+// admission control with realistic bursts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,17 +32,22 @@ enum class ArrivalProcess {
 
 struct DriverConfig {
   double tps = 500.0;
-  int connections = 32;
   uint64_t num_txns = 4000;
   /// Transactions before this dispatch index are executed but not measured.
   uint64_t warmup_txns = 400;
   uint64_t seed = 7;
-  /// Deadlock/timeout victims are retried up to this many times; the
-  /// latency of a retried transaction spans all attempts. A retry re-enters
-  /// the system as a fresh transaction (new age), as a real client's retry
-  /// would, but the original dispatch time still anchors the measurement.
-  int max_retries = 50;
   ArrivalProcess arrival = ArrivalProcess::kConstant;
+  /// The service the run goes through. The default is a thread-per-
+  /// connection client pool: 32 workers, and deadlock/timeout victims
+  /// retried inline up to 50 times with no requeue (a retry re-enters the
+  /// engine as a fresh transaction, but the original dispatch time still
+  /// anchors the measurement). Its admission bound is never reached, so a
+  /// run sheds nothing.
+  server::ServiceConfig service{
+      .workers = 32,
+      .max_queue_depth = std::numeric_limits<size_t>::max(),
+      .retry = {.max_attempts = 51},
+      .max_dispatches = 1};
 };
 
 /// Raised after every committed, measured transaction.
@@ -60,11 +66,9 @@ struct RunResult {
   std::map<std::string, std::vector<int64_t>> by_type;
 
   uint64_t committed = 0;
-  uint64_t deadlock_aborts = 0;   ///< Attempts aborted by deadlock.
-  uint64_t timeout_aborts = 0;    ///< Attempts aborted by lock timeout.
-  uint64_t other_aborts = 0;
-  uint64_t gave_up = 0;           ///< Transactions that exhausted retries.
-  uint64_t shed = 0;              ///< Rejected with Overloaded (RunService).
+  uint64_t gave_up = 0;  ///< Transactions that finished with an error.
+  /// The service's totals over the run (shed, requeues, acks, ...).
+  server::TransactionService::Stats stats;
 
   double elapsed_s = 0;
   double offered_tps = 0;
@@ -74,19 +78,10 @@ struct RunResult {
   double LpNorm(double p) const { return LpNormOf(latencies, p); }
 };
 
-/// Runs `wl` (already Loaded) against `db` at the configured rate with a
-/// thread-per-connection pool (config.connections threads).
-RunResult RunConstantRate(engine::Database* db, Workload* wl,
-                          const DriverConfig& config,
-                          const TxnEventHook& hook = nullptr);
-
-/// Same open-loop arrival schedule, but submitted (non-blocking) into a
-/// started TransactionService instead of a private thread pool — requests a
-/// full service sheds appear in `shed` rather than queueing forever, and
-/// latency still anchors at the intended dispatch time. `config.connections`
-/// and `config.max_retries` are ignored (the service's workers / retry
-/// policy govern).
-RunResult RunService(server::TransactionService* service, Workload* wl,
-                     const DriverConfig& config);
+/// Runs `wl` (already Loaded) against `db` through a TransactionService
+/// built from `config.service`, at the configured rate. `hook` fires for
+/// every committed, measured transaction, from the thread that completed it.
+RunResult Run(engine::Database* db, Workload* wl, const DriverConfig& config,
+              const TxnEventHook& hook = nullptr);
 
 }  // namespace tdp::workload

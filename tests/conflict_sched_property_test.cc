@@ -257,8 +257,10 @@ TEST(ConflictSchedPropertyTest, CpVatsDegradesToVatsWithoutScorer) {
 
 // --- service-level steering: accounting + bounded delay ---------------------
 
-std::unique_ptr<engine::Database> OpenFast() {
+std::unique_ptr<engine::Database> OpenFast(
+    lock::SchedulerPolicy policy = lock::SchedulerPolicy::kFCFS) {
   engine::EngineConfig config;
+  config.mysql.lock.policy = policy;
   config.mysql.row_work_ns = 0;
   config.mysql.btree.level_work_ns = 0;
   config.mysql.data_disk.base_latency_ns = 0;
@@ -288,6 +290,36 @@ class Gate {
   std::condition_variable cv_;
   bool open_ = false;
 };
+
+// Only a steered pop reads the predictor's in-flight set, so a service
+// under any other policy must not write it: a FIFO service over a kCPVATS
+// engine (whose predictor is on) leaves the set empty while a transaction
+// declaring a footprint runs.
+TEST(ConflictSchedPropertyTest, FifoServiceLeavesPredictorInflightSetEmpty) {
+  auto db = OpenFast(lock::SchedulerPolicy::kCPVATS);
+  sched::ConflictPredictor* pred = db->conflict_predictor();
+  ASSERT_NE(pred, nullptr);
+  const uint32_t table = db->CreateTable("t", 64);
+  db->BulkUpsert(table, 0, storage::Row{0});
+
+  server::ServiceConfig cfg;
+  cfg.workers = 1;
+  ASSERT_EQ(cfg.policy, server::DispatchPolicy::kFifo);
+  server::TransactionService svc(db.get(), cfg);
+  svc.Start();
+  size_t tracked_during_dispatch = 1;
+  ASSERT_TRUE(svc.Submit(
+                     [&](engine::Connection& c) {
+                       tracked_during_dispatch = pred->tracked_keys();
+                       return c.Update(table, 0, 0, 1);
+                     },
+                     {sched::ConflictPredictor::Fingerprint(table, 0)},
+                     nullptr)
+                  .ok());
+  svc.Shutdown();
+  EXPECT_EQ(svc.stats().completed_ok, 1u);
+  EXPECT_EQ(tracked_during_dispatch, 0u);
+}
 
 TEST(ConflictSchedPropertyTest, SteeringCountsFlaggedHitsAndFalsePositivesExactly) {
   auto db = OpenFast();

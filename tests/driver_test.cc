@@ -8,6 +8,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/metrics.h"
 #include "engine/factory.h"
 #include "workload/ycsb.h"
 
@@ -43,10 +44,10 @@ TEST(DriverTest, RunsRequestedNumberOfTxns) {
 
   DriverConfig cfg;
   cfg.tps = 2000;
-  cfg.connections = 8;
+  cfg.service.workers = 8;
   cfg.num_txns = 500;
   cfg.warmup_txns = 100;
-  const RunResult result = RunConstantRate(db.get(), &ycsb, cfg);
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
 
   EXPECT_EQ(result.committed, 500u);
   EXPECT_EQ(result.latencies.size(), 400u);  // post-warmup only
@@ -63,10 +64,10 @@ TEST(DriverTest, LatenciesArePositiveAndMeasured) {
 
   DriverConfig cfg;
   cfg.tps = 1000;
-  cfg.connections = 4;
+  cfg.service.workers = 4;
   cfg.num_txns = 200;
   cfg.warmup_txns = 0;
-  const RunResult result = RunConstantRate(db.get(), &ycsb, cfg);
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
   ASSERT_EQ(result.latencies.size(), 200u);
   for (int64_t l : result.latencies) EXPECT_GT(l, 0);
   const LatencySummary sum = result.Summary();
@@ -83,10 +84,10 @@ TEST(DriverTest, ByTypeBucketsSumToTotal) {
 
   DriverConfig cfg;
   cfg.tps = 2000;
-  cfg.connections = 4;
+  cfg.service.workers = 4;
   cfg.num_txns = 300;
   cfg.warmup_txns = 50;
-  const RunResult result = RunConstantRate(db.get(), &ycsb, cfg);
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
   size_t total = 0;
   for (const auto& [type, v] : result.by_type) total += v.size();
   EXPECT_EQ(total, result.latencies.size());
@@ -102,10 +103,10 @@ TEST(DriverTest, HookFiresPerMeasuredTxn) {
   std::atomic<uint64_t> events{0};
   DriverConfig cfg;
   cfg.tps = 2000;
-  cfg.connections = 4;
+  cfg.service.workers = 4;
   cfg.num_txns = 300;
   cfg.warmup_txns = 100;
-  RunConstantRate(db.get(), &ycsb, cfg, [&](const TxnEvent& ev) {
+  workload::Run(db.get(), &ycsb, cfg, [&](const TxnEvent& ev) {
     EXPECT_GT(ev.engine_txn_id, 0u);
     EXPECT_GT(ev.latency_ns, 0);
     EXPECT_GE(ev.commit_ns, ev.dispatch_ns);
@@ -123,11 +124,11 @@ TEST(DriverTest, PoissonArrivalsRunAllTxnsNearTargetRate) {
 
   DriverConfig cfg;
   cfg.tps = 1000;
-  cfg.connections = 8;
+  cfg.service.workers = 8;
   cfg.num_txns = 1000;
   cfg.warmup_txns = 100;
   cfg.arrival = ArrivalProcess::kPoisson;
-  const RunResult result = RunConstantRate(db.get(), &ycsb, cfg);
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
   EXPECT_EQ(result.committed, 1000u);
   EXPECT_EQ(result.latencies.size(), 900u);
   // Exponential gaps average to the same offered rate; generous CI bounds.
@@ -148,11 +149,11 @@ TEST(DriverTest, PoissonGapsVaryUnlikeConstantRate) {
     std::mutex mu;
     DriverConfig cfg;
     cfg.tps = 2000;
-    cfg.connections = 1;  // one connection: dispatch times are ordered
+    cfg.service.workers = 1;  // one worker: dispatch times are ordered
     cfg.num_txns = 300;
     cfg.warmup_txns = 0;
     cfg.arrival = arrival;
-    RunConstantRate(db.get(), &ycsb, cfg, [&](const TxnEvent& ev) {
+    workload::Run(db.get(), &ycsb, cfg, [&](const TxnEvent& ev) {
       std::lock_guard<std::mutex> g(mu);
       dispatch.push_back(ev.dispatch_ns);
     });
@@ -185,14 +186,70 @@ TEST(DriverTest, ApproximatesTargetRate) {
 
   DriverConfig cfg;
   cfg.tps = 1000;
-  cfg.connections = 8;
+  cfg.service.workers = 8;
   cfg.num_txns = 1000;
   cfg.warmup_txns = 0;
-  const RunResult result = RunConstantRate(db.get(), &ycsb, cfg);
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
   // 1000 txns at 1000 tps ≈ 1s elapsed; generous bounds for CI noise.
   EXPECT_GT(result.elapsed_s, 0.8);
   EXPECT_LT(result.elapsed_s, 3.0);
   EXPECT_NEAR(result.achieved_tps, 1000, 350);
+}
+
+/// Every transaction fails with a retryable error; counts the attempts.
+class AlwaysDeadlocks : public Workload {
+ public:
+  std::string name() const override { return "always_deadlocks"; }
+  void Load(engine::Database*) override {}
+  Txn NextTxn(Rng*) override {
+    Txn t;
+    t.body = [this](engine::Connection&) {
+      attempts.fetch_add(1);
+      return Status::Deadlock("injected");
+    };
+    return t;
+  }
+  std::atomic<uint64_t> attempts{0};
+};
+
+TEST(DriverTest, RetryableFailureRunsMaxAttemptsThenGivesUpWithoutRequeue) {
+  auto db = OpenFast();
+  AlwaysDeadlocks wl;
+  DriverConfig cfg;
+  cfg.tps = 5000;
+  cfg.num_txns = 20;
+  cfg.warmup_txns = 0;
+  ASSERT_EQ(cfg.service.retry.max_attempts, 51);
+  const metrics::MetricsSnapshot before =
+      metrics::Registry::Global().TakeSnapshot();
+  const RunResult result = workload::Run(db.get(), &wl, cfg);
+  const metrics::MetricsSnapshot delta = metrics::MetricsSnapshot::Delta(
+      before, metrics::Registry::Global().TakeSnapshot());
+
+  EXPECT_EQ(wl.attempts.load(),
+            cfg.num_txns * static_cast<uint64_t>(cfg.service.retry.max_attempts));
+  EXPECT_EQ(result.gave_up, cfg.num_txns);
+  EXPECT_EQ(result.committed, 0u);
+  EXPECT_EQ(result.stats.requeues, 0u);
+  EXPECT_EQ(delta.counter("server.requeues"), 0u);
+}
+
+TEST(DriverTest, BurstBeyondServiceDefaultDepthIsNeverShed) {
+  auto db = OpenFast();
+  YcsbConfig wcfg;
+  wcfg.rows = 2000;
+  Ycsb ycsb(wcfg);
+  ycsb.Load(db.get());
+
+  DriverConfig cfg;
+  cfg.tps = 1e6;  // the whole burst arrives faster than one worker drains it
+  cfg.num_txns = 4 * server::ServiceConfig{}.max_queue_depth;
+  cfg.warmup_txns = 0;
+  cfg.service.workers = 1;
+  const RunResult result = workload::Run(db.get(), &ycsb, cfg);
+  EXPECT_EQ(result.stats.shed, 0u);
+  EXPECT_EQ(result.stats.submitted, cfg.num_txns);
+  EXPECT_EQ(result.committed, cfg.num_txns);
 }
 
 }  // namespace

@@ -60,11 +60,11 @@ TEST(FaultChaosTest, VarianceTreeBlamesTheFlushSubtree) {
 
   workload::DriverConfig dcfg;
   dcfg.tps = 1200;
-  dcfg.connections = 16;
+  dcfg.service.workers = 16;
   dcfg.num_txns = 1500;
   dcfg.warmup_txns = 0;
   inj.Arm();
-  const workload::RunResult result = RunConstantRate(&db, &tpcc, dcfg);
+  const workload::RunResult result = workload::Run(&db, &tpcc, dcfg);
   inj.Disarm();
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
 
@@ -111,10 +111,10 @@ TEST(FaultChaosTest, DisarmedInjectorChangesNothing) {
 
   workload::DriverConfig dcfg;
   dcfg.tps = 1200;
-  dcfg.connections = 16;
+  dcfg.service.workers = 16;
   dcfg.num_txns = 600;
   dcfg.warmup_txns = 100;
-  const workload::RunResult result = RunConstantRate(&db, &tpcc, dcfg);
+  const workload::RunResult result = workload::Run(&db, &tpcc, dcfg);
 
   EXPECT_GT(result.committed, 400u);
   EXPECT_EQ(db.log_disk().stats().io_errors.load(), 0u);
@@ -147,11 +147,11 @@ TEST(FaultChaosTest, RegistryMirrorsInjectorStats) {
 
   workload::DriverConfig dcfg;
   dcfg.tps = 1200;
-  dcfg.connections = 16;
+  dcfg.service.workers = 16;
   dcfg.num_txns = 600;
   dcfg.warmup_txns = 0;
   inj.Arm();
-  const workload::RunResult result = RunConstantRate(&db, &tpcc, dcfg);
+  const workload::RunResult result = workload::Run(&db, &tpcc, dcfg);
   inj.Disarm();
 
   EXPECT_GT(result.committed, 400u);

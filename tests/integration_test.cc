@@ -29,7 +29,7 @@ engine::MySQLMiniConfig QuickEngine(lock::SchedulerPolicy policy) {
 workload::DriverConfig QuickDriver() {
   workload::DriverConfig cfg;
   cfg.tps = 1500;
-  cfg.connections = 16;
+  cfg.service.workers = 16;
   cfg.num_txns = 1200;
   cfg.warmup_txns = 200;
   return cfg;
@@ -79,7 +79,7 @@ TEST_P(TpccConsistencyTest, MoneyConservedUnderConcurrency) {
   workload::Tpcc tpcc(tcfg);
   tpcc.Load(&db);
   const workload::RunResult result =
-      RunConstantRate(&db, &tpcc, QuickDriver());
+      workload::Run(&db, &tpcc, QuickDriver());
   EXPECT_GT(result.committed, 1000u);
   EXPECT_EQ(result.gave_up, 0u);
   CheckTpccConsistency(&db, tcfg);
@@ -110,7 +110,7 @@ TEST(ProfiledEngineTest, TProfilerSeesLockWaitsOnContendedRun) {
   workload::DriverConfig dcfg = QuickDriver();
   dcfg.num_txns = 800;
   dcfg.warmup_txns = 0;
-  RunConstantRate(&db, &tpcc, dcfg);
+  workload::Run(&db, &tpcc, dcfg);
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
 
   tprof::VarianceAnalysis analysis(data,
@@ -142,10 +142,12 @@ TEST(ToolkitTest, LoadAndRunProducesMetrics) {
   workload::DriverConfig dcfg = QuickDriver();
   dcfg.num_txns = 600;
   dcfg.warmup_txns = 100;
-  const core::RunOutcome out = core::LoadAndRun(&db, &tpcc, dcfg);
-  EXPECT_GT(out.metrics.count, 0u);
-  EXPECT_GT(out.metrics.mean_ms, 0);
-  EXPECT_GT(out.metrics.p99_ms, 0);
+  tpcc.Load(&db);
+  const core::Metrics m = core::Metrics::From(workload::Run(&db, &tpcc, dcfg));
+  EXPECT_EQ(m.count, 500u);
+  EXPECT_GT(m.mean_ms, 0);
+  EXPECT_GT(m.p99_ms, 0);
+  EXPECT_GT(m.achieved_tps, 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property sweep (seeds × lock schedulers) over the LLU backlog metrics:
 // the backlog gauge reported by the registry never exceeds the configured
-// bound (connections × llu_backlog_max — each worker thread owns one
+// bound (workers × llu_backlog_max — each worker thread owns one
 // thread-local backlog capped at llu_backlog_max) and always drains to zero
 // at quiesce, because session teardown flushes every thread-local backlog.
 #include <gtest/gtest.h>
@@ -37,25 +37,25 @@ TEST_P(LluBacklogPropertyTest, BacklogBoundedAndDrainedAtQuiesce) {
 
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.tps = 420;
-  driver.connections = 64;
+  driver.service.workers = 64;
   driver.num_txns = 600;
   driver.warmup_txns = 60;
   driver.seed = seed;
-  const core::RunOutcome out = core::LoadAndRun(&db, &wl, driver);
-  EXPECT_GT(out.metrics.count, 0u);
+  wl.Load(&db);
+  EXPECT_GT(workload::Run(&db, &wl, driver).latencies.size(), 0u);
 
   const metrics::MetricsSnapshot snap = reg.TakeSnapshot();
   const metrics::MetricsSnapshot::GaugeValue backlog =
       snap.gauge("buf.llu.backlog");
 
-  // Drained to zero at quiesce: LoadAndRun has joined every worker, and
+  // Drained to zero at quiesce: Run has joined every worker, and
   // each worker's session destructor flushed its thread-local backlog.
   EXPECT_EQ(backlog.value, 0)
       << "LLU backlog not drained at quiesce (seed=" << seed << ")";
 
   // Never exceeded the configured bound at any point during the run.
   const int64_t bound =
-      static_cast<int64_t>(driver.connections) *
+      static_cast<int64_t>(driver.service.workers) *
       static_cast<int64_t>(db.buffer_pool().config().llu_backlog_max);
   EXPECT_LE(backlog.max, bound);
   EXPECT_GE(backlog.max, 0);

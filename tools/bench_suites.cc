@@ -70,14 +70,14 @@ std::unique_ptr<engine::Database> MustOpen(engine::EngineKind kind,
   return std::move(db.value());
 }
 
-/// TPC-C on the engine `kind` selects from `ecfg`: open, load, and run
-/// closed-loop.
-core::Metrics RunTpcc(engine::EngineKind kind, const engine::EngineConfig& ecfg,
-                      const workload::TpccConfig& tcfg,
+/// Opens the engine `kind` selects from `ecfg`, loads `wl` into it and runs
+/// it open-loop through `driver`.
+core::Metrics Measure(engine::EngineKind kind, const engine::EngineConfig& ecfg,
+                      workload::Workload* wl,
                       const workload::DriverConfig& driver) {
   auto db = MustOpen(kind, ecfg);
-  workload::Tpcc wl(tcfg);
-  return core::LoadAndRun(db.get(), &wl, driver).metrics;
+  wl->Load(db.get());
+  return core::Metrics::From(workload::Run(db.get(), wl, driver));
 }
 
 /// The server layer's run: `wl` is loaded into a mysqlmini built from `cfg`
@@ -90,18 +90,13 @@ core::Metrics RunThroughService(const engine::MySQLMiniConfig& cfg,
                                 uint64_t n) {
   engine::EngineConfig ecfg;
   ecfg.mysql = cfg;
-  auto db = MustOpen(engine::EngineKind::kMySQLMini, ecfg);
-  wl->Load(db.get());
-  server::TransactionService svc(db.get(), scfg);
-  svc.Start();
   workload::DriverConfig driver;
   driver.tps = tps;
   driver.num_txns = n;
   driver.warmup_txns = n / 10;
   driver.arrival = workload::ArrivalProcess::kPoisson;
-  const workload::RunResult run = workload::RunService(&svc, wl, driver);
-  svc.Shutdown();
-  return core::Metrics::From(run);
+  driver.service = scfg;
+  return Measure(engine::EngineKind::kMySQLMini, ecfg, wl, driver);
 }
 
 /// Open-loop voltmini run mirroring bench_fig6_outofbox's third leg, sized
@@ -132,7 +127,7 @@ core::Metrics RunVolt(int workers, uint64_t n) {
   return core::Metrics::FromLatencies(lat);
 }
 
-/// The paper's closed-loop driver sized to `n` transactions, 10% warmup.
+/// The paper's open-loop driver sized to `n` transactions, 10% warmup.
 workload::DriverConfig Driver(uint64_t n) {
   workload::DriverConfig driver = core::Toolkit::DriverDefault();
   driver.num_txns = n;
@@ -155,16 +150,17 @@ json::Value MysqlExperiment(const std::string& name,
   engine::EngineConfig ecfg;
   ecfg.mysql = cfg;
   return RunExperiment(name, "mysqlmini", std::move(p), [&] {
-    return RunTpcc(engine::EngineKind::kMySQLMini, ecfg, tcfg, driver);
+    workload::Tpcc wl(tcfg);
+    return Measure(engine::EngineKind::kMySQLMini, ecfg, &wl, driver);
   });
 }
 
-/// 4-warehouse TPC-C on pgmini, 350 tps over 128 connections.
+/// 4-warehouse TPC-C on pgmini, 350 tps over 128 service workers.
 json::Value PgExperiment(const std::string& name, const pg::PgMiniConfig& cfg,
                          uint64_t n) {
   workload::DriverConfig driver = Driver(n);
   driver.tps = 350;
-  driver.connections = 128;
+  driver.service.workers = 128;
   workload::TpccConfig tcfg;
   tcfg.warehouses = 4;
   engine::EngineConfig ecfg;
@@ -173,7 +169,8 @@ json::Value PgExperiment(const std::string& name, const pg::PgMiniConfig& cfg,
   p.Set("wal_block_bytes",
         json::Value::Int(static_cast<int64_t>(cfg.wal.block_bytes)));
   return RunExperiment(name, "pgmini", std::move(p), [&] {
-    return RunTpcc(engine::EngineKind::kPgMini, ecfg, tcfg, driver);
+    workload::Tpcc wl(tcfg);
+    return Measure(engine::EngineKind::kPgMini, ecfg, &wl, driver);
   });
 }
 
@@ -317,9 +314,9 @@ json::Value ReplExperiment(int replicas, uint64_t n) {
   p.Set("replicas", json::Value::Int(replicas));
   return RunExperiment("repl.k" + std::to_string(replicas), "repl",
                        std::move(p), [&] {
-                         return RunTpcc(engine::EngineKind::kMySQLMini, ecfg,
-                                        core::Toolkit::TpccContended(),
-                                        Driver(n));
+                         workload::Tpcc wl(core::Toolkit::TpccContended());
+                         return Measure(engine::EngineKind::kMySQLMini, ecfg,
+                                        &wl, Driver(n));
                        });
 }
 
@@ -341,15 +338,14 @@ json::Value ShardExperiment(int num_shards, uint64_t n) {
                          // per-shard detectors; timeouts break them instead.
                          ecfg.sharded.shard.lock.wait_timeout_ns =
                              MillisToNanos(500);
-                         auto db = MustOpen(engine::EngineKind::kSharded, ecfg);
                          workload::YcsbConfig ycsb;
                          ycsb.rows = 4000;
                          ycsb.zipf_theta = 0.5;
                          ycsb.ops_per_txn = 4;
                          ycsb.pct_reads = 50;
                          workload::Ycsb wl(ycsb);
-                         return core::LoadAndRun(db.get(), &wl, Driver(n))
-                             .metrics;
+                         return Measure(engine::EngineKind::kSharded, ecfg,
+                                        &wl, Driver(n));
                        });
 }
 

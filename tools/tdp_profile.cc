@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   std::printf("running %llu txns at %.0f tps (policy=%s)...\n",
               static_cast<unsigned long long>(opt.txns), opt.tps,
               opt.policy.c_str());
-  const workload::RunResult run = RunConstantRate(db.get(), wl.get(), driver);
+  const workload::RunResult run = workload::Run(db.get(), wl.get(), driver);
 
   tprof::TraceData data = tprof::Profiler::Instance().EndSession();
   tprof::VarianceAnalysis analysis(data,
