@@ -94,8 +94,8 @@ class ParkedAcks {
 /// out one callback that must fire exactly once, on any thread, inline or
 /// later; Wait() blocks until every handed-out callback has fired and
 /// returns the first non-OK status among them (OK when all succeeded). One
-/// latch waits for one ack (a forced append) or for many (the votes of a
-/// 2PC prepare fan-out) — the waiter pays the slowest ack, not the sum.
+/// latch waits for one ack (a forced append) or for many (the frames of a
+/// 2PC round) — the waiter pays the slowest ack, not the sum.
 ///
 /// The latch may live on the waiter's stack: a callback touches it only
 /// under mu_, and the last one notifies while still holding mu_, so Wait()

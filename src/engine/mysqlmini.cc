@@ -84,38 +84,31 @@ std::unique_ptr<MySQLSession> MySQLMini::ConnectSession() {
   return std::make_unique<MySQLSession>(this);
 }
 
-void MySQLMini::AppendAsync(uint64_t txn_id, uint64_t bytes,
-                            std::vector<log::RedoOp> ops, AckFn ack) {
+uint64_t MySQLMini::AppendAsync(uint64_t txn_id, uint64_t bytes,
+                                std::vector<log::RedoOp> ops, AckFn ack) {
   // Mirror the nominal bytes into mysql.redo_bytes up front: the record is
   // in the append stream whether or not it becomes durable, and
   // log.bytes_written will count it at flush time.
   metrics::Inc(m_.redo_bytes, bytes);
   if (quorum_log_ != nullptr) {
-    quorum_log_->CommitAsync(txn_id, bytes, std::move(ops), std::move(ack));
-  } else {
-    redo_log_->CommitAsync(txn_id, bytes, std::move(ops), std::move(ack));
+    return quorum_log_->CommitAsync(txn_id, bytes, std::move(ops),
+                                    std::move(ack));
   }
+  return redo_log_->CommitAsync(txn_id, bytes, std::move(ops),
+                                std::move(ack));
 }
 
-Status MySQLMini::AppendControlFrame(uint64_t gtid, uint64_t bytes,
-                                     std::vector<log::RedoOp> ops,
-                                     bool force) {
-  if (force) {
-    AckLatch durable;
-    AppendAsync(gtid, bytes, std::move(ops), durable.Expect());
-    return durable.Wait();
-  }
-  // Unforced: the decision already proves the outcome, so this frame's
-  // durability is advisory. A replicated log drops the ack (the ledger
-  // still counts it submitted/resolved); a plain log applies its flush
-  // policy, so lazy policies leave the frame to the flusher.
-  if (quorum_log_ != nullptr) {
+void MySQLMini::AppendUnforced(uint64_t gtid, uint64_t bytes,
+                               std::vector<log::RedoOp> ops) {
+  // A replicated log or an epoch takes the frame and its ack is dropped
+  // (the ledger still counts it submitted/resolved); otherwise the log
+  // applies its flush policy, so lazy policies leave it to the flusher.
+  if (quorum_log_ != nullptr || config_.log_async_commit) {
     AppendAsync(gtid, bytes, std::move(ops), [](const Status&) {});
-    return Status::OK();
+    return;
   }
   metrics::Inc(m_.redo_bytes, bytes);
   redo_log_->Commit(gtid, bytes, std::move(ops));
-  return Status::OK();
 }
 
 uint32_t MySQLMini::CreateTable(const std::string& name,
@@ -403,53 +396,54 @@ Result<int64_t> MySQLSession::DoReadColumn(uint32_t table, uint64_t key,
   return row->Get(col);
 }
 
-void MySQLSession::PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
-                                      CommitAckFn vote) {
+MySQLSession::DecisionSection MySQLSession::PrepareCommitAsync(
+    uint64_t gtid, uint32_t coord_shard, AckFn ack) {
   TPROF_SCOPE("trx_commit");
-  if (!active_ || prepared_) {
-    vote(Status::InvalidArgument(active_ ? "already prepared"
-                                         : "no open transaction"));
-    return;
-  }
-  if (must_abort_) {
-    Rollback();
-    vote(Status::Aborted("transaction had failed; rolled back"));
-    return;
+  DecisionSection section;
+  if (!active_ || prepared_ || must_abort_) {
+    ack(Status::InvalidArgument("no committable transaction to prepare"));
+    return section;
   }
   coord_shard_ = coord_shard;
-  // Prepared from here on — locks held, undo retained — whatever the vote:
-  // after a NO the caller rolls every participant back.
-  prepared_ = true;
+  prepared_ = true;  // Locks held, undo retained, until CommitPrepared.
   if (redo_bytes_ == 0) {
-    // Read-only participant: nothing to redo, so the vote needs no frame —
-    // recovery has nothing to decide for this shard.
-    prepared_readonly_ = true;
-    vote(Status::OK());
-    return;
+    // Read-only participant: nothing to redo, so no frame — recovery has
+    // nothing to decide for this shard.
+    no_commit_frame_ = true;
+    ack(Status::OK());
+    return section;
   }
+  section.bytes = redo_bytes_;
+  section.redo = redo_ops_;
   const uint64_t bytes = redo_bytes_ + k2PCControlFrameBytes;
   redo_bytes_ = 0;  // Consumed by the prepare frame.
-  // A non-OK ack is the NO vote: the frame may or may not have reached the
-  // device, but no decision will ever be logged for this gtid, so recovery
-  // presumes abort.
-  db_->AppendAsync(
+  section.lsn = db_->AppendAsync(
       gtid, bytes,
       RedoBehind(log::RedoOp::Kind::k2PCPrepare, coord_shard, gtid),
-      std::move(vote));
+      std::move(ack));
+  return section;
 }
 
-Status MySQLSession::CommitDecision(uint64_t gtid, uint32_t coord_shard) {
+void MySQLSession::DecideAsync(uint64_t gtid, uint32_t coord_shard,
+                               std::vector<DecisionSection> sections,
+                               AckFn ack) {
   TPROF_SCOPE("trx_commit");
   if (!active_ || prepared_ || must_abort_) {
-    return Status::InvalidArgument("no committable transaction to decide");
+    ack(Status::InvalidArgument("no committable transaction to decide"));
+    return;
   }
-  const Status s = db_->AppendControlFrame(
-      gtid, redo_bytes_ + k2PCControlFrameBytes,
-      RedoBehind(log::RedoOp::Kind::k2PCDecide, coord_shard, gtid),
-      /*force=*/true);
-  // Committed or ambiguous, never rolled back: release either way.
-  ReleaseAndReset();
-  return s;
+  uint64_t bytes = redo_bytes_ + k2PCControlFrameBytes;
+  std::vector<log::RedoOp> ops =
+      RedoBehind(log::RedoOp::Kind::k2PCDecide, coord_shard, gtid);
+  for (DecisionSection& section : sections) {
+    bytes += section.bytes;
+    ops.push_back(log::RedoOp{log::RedoOp::Kind::k2PCSection, section.shard,
+                              section.lsn, storage::Row{}});
+    for (log::RedoOp& op : section.redo) ops.push_back(std::move(op));
+  }
+  prepared_ = true;
+  no_commit_frame_ = true;
+  db_->AppendAsync(gtid, bytes, std::move(ops), std::move(ack));
 }
 
 std::vector<log::RedoOp> MySQLSession::RedoBehind(log::RedoOp::Kind marker,
@@ -466,15 +460,14 @@ std::vector<log::RedoOp> MySQLSession::RedoBehind(log::RedoOp::Kind marker,
 void MySQLSession::CommitPrepared(uint64_t gtid, bool log_commit_frame) {
   TPROF_SCOPE("trx_commit");
   if (!prepared_) return;
-  if (!prepared_readonly_ && log_commit_frame) {
+  if (!no_commit_frame_ && log_commit_frame) {
     // Unforced: the coordinator's decision frame is already durable, so this
     // shard's outcome is settled; the local COMMIT frame only spares future
     // recoveries the cross-shard decision lookup.
     std::vector<log::RedoOp> ops;
     ops.push_back(log::RedoOp{log::RedoOp::Kind::k2PCCommit, coord_shard_,
                               gtid, storage::Row{}});
-    (void)db_->AppendControlFrame(gtid, k2PCControlFrameBytes, std::move(ops),
-                                  /*force=*/false);
+    db_->AppendUnforced(gtid, k2PCControlFrameBytes, std::move(ops));
   }
   ReleaseAndReset();
 }
@@ -557,7 +550,7 @@ void MySQLSession::ReleaseAndReset() {
   active_ = false;
   must_abort_ = false;
   prepared_ = false;
-  prepared_readonly_ = false;
+  no_commit_frame_ = false;
   coord_shard_ = 0;
   redo_bytes_ = 0;
   undo_.clear();

@@ -129,39 +129,48 @@ class MySQLSession : public Connection {
 
   // --- cross-shard 2PC seam (docs/sharding.md) -----------------------------
   // engine::ShardedDatabase drives these; single-shard commits never touch
-  // them. A non-coordinator participant runs Begin .. ops ..
-  // PrepareCommitAsync -> CommitPrepared, or Rollback at any point before
-  // CommitPrepared (locks are held and undo is retained across the prepared
-  // window, so a prepared transaction aborts exactly like an active one).
-  // The coordinator runs Begin .. ops .. CommitDecision: it writes no
-  // PREPARE and no COMMIT frame of its own.
+  // them. All frames of one commit go out in one round: each non-coordinator
+  // participant runs Begin .. ops .. PrepareCommitAsync, the coordinator
+  // runs Begin .. ops .. DecideAsync, and once the round's acks are in every
+  // one of them runs CommitPrepared. Locks are held and undo is retained
+  // until then, so a participant can still Rollback before DecideAsync.
 
-  /// Phase 1: appends this participant's PREPARE frame — a k2PCPrepare
-  /// marker (carrying `gtid` and the coordinator shard id) followed by the
+  /// A participant's PREPARE frame as the coordinator's DECISION frame
+  /// copies it (one k2PCSection of that frame).
+  struct DecisionSection {
+    uint32_t shard = 0;  ///< The participant's shard; set by the caller.
+    uint64_t lsn = 0;    ///< The frame's LSN on that shard's log; 0 = none.
+    uint64_t bytes = 0;  ///< Nominal data redo bytes of the frame.
+    std::vector<log::RedoOp> redo;  ///< A copy of the frame's data redo.
+  };
+
+  /// Appends this participant's PREPARE frame — a k2PCPrepare marker
+  /// (carrying `gtid` and the coordinator shard id) followed by the
   /// transaction's data redo — through the shard's async append path and
-  /// returns without waiting. `vote` fires exactly once, on any thread: OK
-  /// once the frame is durable (quorum ack when replicated), non-OK (a NO
-  /// vote) when it cannot be made durable. Read-only participants vote yes
-  /// inline without logging; a transaction that already failed rolls back
-  /// and votes NO inline. After any NO vote the caller must Rollback() every
-  /// participant (presumed abort — an orphaned prepare frame is dropped at
-  /// recovery).
-  void PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
-                          CommitAckFn vote);
+  /// returns without waiting. `ack` fires exactly once, on any thread: OK
+  /// once the frame is durable (quorum ack when replicated), non-OK when it
+  /// cannot be made durable. Either way the outcome is the decision's: the
+  /// decision frame carries the returned copy of the frame. A read-only
+  /// participant acks inline and logs nothing (lsn 0). The transaction must
+  /// not have failed (check must_abort() first).
+  DecisionSection PrepareCommitAsync(uint64_t gtid, uint32_t coord_shard,
+                                     AckFn ack);
 
   /// The commit point, on the coordinator (`coord_shard`, the lowest
-  /// writing shard) once every other participant voted yes: forces ONE
-  /// DECISION frame — a k2PCDecide marker carrying `gtid`, then this
-  /// transaction's data redo — and releases locks. The frame is at once the
-  /// coordinator's prepare and the outcome. A non-OK return is ambiguous:
-  /// the frame is in the append stream but its durability is unknown, so
-  /// the session still releases and keeps its effects (never rolls back — a
-  /// crash may yet surface the decision), the same contract as a
-  /// quorum-loss single-shard commit. The transaction must not have failed
-  /// (check must_abort() first).
-  Status CommitDecision(uint64_t gtid, uint32_t coord_shard);
+  /// writing shard): appends ONE DECISION frame through the async path — a
+  /// k2PCDecide marker carrying `gtid`, this transaction's data redo, then
+  /// one k2PCSection marker and redo copy per entry of `sections` — in the
+  /// same round as the participants' PREPAREs. `ack` fires exactly once:
+  /// OK means committed, on every shard. Non-OK is ambiguous: the frame is
+  /// in the append stream but its durability is unknown, so the caller
+  /// must keep the effects (a crash may yet surface the decision), the
+  /// same contract as a quorum-loss single-shard commit. Locks stay held
+  /// until CommitPrepared; the frame is this shard's only record, so that
+  /// logs nothing here. The transaction must not have failed.
+  void DecideAsync(uint64_t gtid, uint32_t coord_shard,
+                   std::vector<DecisionSection> sections, AckFn ack);
 
-  /// Phase 2 (after the coordinator's decision is durable): appends this
+  /// Ends the round once the decision's ack fired: appends this
   /// participant's k2PCCommit frame (not forced — the decision already
   /// proves the outcome) and releases locks. Infallible by design: the
   /// transaction is committed the moment the decision frame is durable.
@@ -171,11 +180,11 @@ class MySQLSession : public Connection {
   /// siblings presume abort, breaking atomicity.
   void CommitPrepared(uint64_t gtid, bool log_commit_frame = true);
 
-  /// True between PrepareCommitAsync and CommitPrepared/Rollback.
+  /// True between PrepareCommitAsync or DecideAsync and CommitPrepared.
   bool prepared() const { return prepared_; }
   /// True when an operation failed and the transaction can only roll back.
   bool must_abort() const { return must_abort_; }
-  /// True when the open transaction wrote nothing (votes yes frame-free).
+  /// True when the open transaction wrote nothing (prepares frame-free).
   bool read_only() const { return redo_bytes_ == 0; }
 
  protected:
@@ -216,8 +225,10 @@ class MySQLSession : public Connection {
   std::unique_ptr<lock::TxnContext> txn_;
   bool active_ = false;
   bool must_abort_ = false;
-  bool prepared_ = false;           ///< 2PC: prepare frame issued, locks held.
-  bool prepared_readonly_ = false;  ///< Prepared with no frame (no writes).
+  bool prepared_ = false;  ///< 2PC: frame issued, locks held.
+  /// Prepared with no COMMIT frame to write: a read-only participant, or
+  /// the coordinator, whose decision frame is its commit record.
+  bool no_commit_frame_ = false;
   uint32_t coord_shard_ = 0;        ///< Valid while prepared_.
   uint64_t redo_bytes_ = 0;
   std::vector<UndoEntry> undo_;
@@ -280,19 +291,19 @@ class MySQLMini : public Database {
  private:
   friend class MySQLSession;
 
-  /// Appends a commit record or a 2PC control frame (whose txn id is the
-  /// gtid) to this shard's log through its async append path — the quorum
-  /// layer when replication is on, else the redo log's epoch path — and
-  /// mirrors `bytes` into mysql.redo_bytes. `ack` fires exactly once when
-  /// the record's durability is decided (see RedoLog::CommitAsync: without
-  /// an epoch thread the append flushes inline and acks before returning).
-  void AppendAsync(uint64_t txn_id, uint64_t bytes,
-                   std::vector<log::RedoOp> ops, AckFn ack);
-  /// Forced: AppendAsync, then waits for the ack and reports it. Unforced
-  /// appends return OK as soon as the frame is in the stream; its
-  /// durability is left to the quorum layer or the flush policy.
-  Status AppendControlFrame(uint64_t gtid, uint64_t bytes,
-                            std::vector<log::RedoOp> ops, bool force);
+  /// Appends a commit record or a 2PC frame (whose txn id is the gtid) to
+  /// this shard's log through its async append path — the quorum layer
+  /// when replication is on, else the redo log's epoch path — mirrors
+  /// `bytes` into mysql.redo_bytes and returns the record's LSN. `ack`
+  /// fires exactly once when the record's durability is decided (see
+  /// RedoLog::CommitAsync: without an epoch thread the append flushes
+  /// inline and acks before returning).
+  uint64_t AppendAsync(uint64_t txn_id, uint64_t bytes,
+                       std::vector<log::RedoOp> ops, AckFn ack);
+  /// An unforced frame: returns as soon as it is in the stream, leaving
+  /// its durability to the quorum layer or the flush policy.
+  void AppendUnforced(uint64_t gtid, uint64_t bytes,
+                      std::vector<log::RedoOp> ops);
 
   MySQLMiniConfig config_;
   storage::Catalog catalog_;

@@ -168,31 +168,55 @@ void ReplayRedo(const std::vector<log::RecoveredTxn>& recovered,
 std::vector<log::RecoveredTxn> Filter2PCRedo(
     const std::vector<std::vector<log::RecoveredTxn>>& shard_streams,
     size_t shard, TwoPhaseRecoveryStats* stats) {
-  // Pass 1: the decided set. A DECISION frame on *any* shard's durable
-  // stream commits its gtid — the coordinator logs it before any
-  // participant learns the outcome, so this set is complete for every
-  // transaction a participant could have locally committed.
+  using Kind = log::RedoOp::Kind;
+  auto is_section = [](const log::RedoOp& op) {
+    return op.kind == Kind::k2PCSection;
+  };
+
+  // Pass 1: the decided set, and the sections decisions hold for this
+  // shard. A DECISION frame on *any* shard's durable stream commits its
+  // gtid — the coordinator issues it before any participant learns the
+  // outcome, so this set is complete for every transaction a participant
+  // could have locally committed.
+  struct Section {
+    uint64_t lsn;  ///< The PREPARE frame's LSN on this shard's log.
+    uint64_t gtid;
+    std::vector<log::RedoOp>::const_iterator begin, end;
+  };
   std::set<uint64_t> decided;
+  std::vector<Section> sections;
   for (const std::vector<log::RecoveredTxn>& stream : shard_streams) {
     for (const log::RecoveredTxn& txn : stream) {
-      for (const log::RedoOp& op : txn.ops) {
-        if (op.kind == log::RedoOp::Kind::k2PCDecide) decided.insert(op.key);
+      if (txn.ops.empty() || txn.ops[0].kind != Kind::k2PCDecide) continue;
+      const uint64_t gtid = txn.ops[0].key;
+      decided.insert(gtid);
+      for (auto it = std::find_if(txn.ops.begin(), txn.ops.end(), is_section);
+           it != txn.ops.end();) {
+        const auto next = std::find_if(it + 1, txn.ops.end(), is_section);
+        if (it->table == shard) {
+          sections.push_back({it->key, gtid, it + 1, next});
+        }
+        it = next;
       }
     }
   }
   if (stats != nullptr) stats->decided = decided.size();
 
-  // Pass 2: this shard's locally committed gtids. A participant COMMIT
-  // frame is written only after the decision was durable, so it proves the
-  // outcome without the cross-shard lookup (and keeps this shard
-  // recoverable even if the coordinator's log is later truncated).
+  // Pass 2: this shard's own 2PC frames. A participant COMMIT frame is
+  // written only after the decision was durable, so it proves the outcome
+  // without the cross-shard lookup (and keeps this shard recoverable even
+  // if the coordinator's log is later truncated). Any PREPARE or COMMIT
+  // frame of a gtid means this stream holds the shard's own copy of its
+  // redo, so that gtid's section is not needed.
   std::set<uint64_t> local_committed;
+  std::set<uint64_t> local_frames;
   const std::vector<log::RecoveredTxn>& stream = shard_streams.at(shard);
   for (const log::RecoveredTxn& txn : stream) {
-    for (const log::RedoOp& op : txn.ops) {
-      if (op.kind == log::RedoOp::Kind::k2PCCommit) {
-        local_committed.insert(op.key);
-      }
+    if (txn.ops.empty()) continue;
+    const log::RedoOp& head = txn.ops[0];
+    if (head.kind == Kind::k2PCCommit) local_committed.insert(head.key);
+    if (head.kind == Kind::k2PCCommit || head.kind == Kind::k2PCPrepare) {
+      local_frames.insert(head.key);
     }
   }
 
@@ -203,26 +227,23 @@ std::vector<log::RecoveredTxn> Filter2PCRedo(
       reg.GetCounter("2pc.recovered_presumed_aborted");
 
   // Pass 3: filter. Plain frames replay unchanged. A DECISION frame is the
-  // commit point itself, so the coordinator data ops riding behind its
-  // marker always replay (a decision-only frame, the older layout, carries
-  // none). PREPARE frames replay their data ops iff decided (or locally
-  // committed). Markers never replay; participant COMMIT frames carry no
-  // data and drop out.
+  // commit point itself, so the coordinator data ops between its marker
+  // and its first section always replay (a decision-only frame, an older
+  // layout, carries none). PREPARE frames replay their data ops iff
+  // decided (or locally committed). Markers never replay; participant
+  // COMMIT frames carry no data and drop out.
   std::vector<log::RecoveredTxn> out;
   out.reserve(stream.size());
   for (const log::RecoveredTxn& txn : stream) {
-    const log::RedoOp::Kind head =
-        txn.ops.empty() ? log::RedoOp::Kind::kPut : txn.ops[0].kind;
-    if (head != log::RedoOp::Kind::k2PCPrepare &&
-        head != log::RedoOp::Kind::k2PCDecide &&
-        head != log::RedoOp::Kind::k2PCCommit) {
+    const Kind head = txn.ops.empty() ? Kind::kPut : txn.ops[0].kind;
+    if (head != Kind::k2PCPrepare && head != Kind::k2PCDecide &&
+        head != Kind::k2PCCommit) {
       out.push_back(txn);
       continue;
     }
-    if (head == log::RedoOp::Kind::k2PCCommit) continue;
-    if (head == log::RedoOp::Kind::k2PCDecide && txn.ops.size() == 1) continue;
+    if (head == Kind::k2PCCommit) continue;
     const uint64_t gtid = txn.ops[0].key;
-    if (head == log::RedoOp::Kind::k2PCPrepare && decided.count(gtid) == 0 &&
+    if (head == Kind::k2PCPrepare && decided.count(gtid) == 0 &&
         local_committed.count(gtid) == 0) {
       // Presumed abort: a prepare with no decision anywhere means the
       // coordinator never reached its commit point.
@@ -230,15 +251,34 @@ std::vector<log::RecoveredTxn> Filter2PCRedo(
       metrics::Inc(recovered_aborted);
       continue;
     }
-    log::RecoveredTxn keep;
-    keep.txn_id = txn.txn_id;
-    keep.lsn = txn.lsn;
-    keep.ops.assign(txn.ops.begin() + 1, txn.ops.end());
-    out.push_back(std::move(keep));
+    const auto data_end =
+        std::find_if(txn.ops.begin() + 1, txn.ops.end(), is_section);
+    if (head == Kind::k2PCDecide && data_end == txn.ops.begin() + 1) continue;
+    out.push_back(log::RecoveredTxn{
+        txn.txn_id, txn.lsn, std::vector<log::RedoOp>(txn.ops.begin() + 1,
+                                                      data_end)});
     if (stats != nullptr) {
-      ++(head == log::RedoOp::Kind::k2PCDecide ? stats->replayed_decisions
-                                                : stats->replayed_prepared);
+      ++(head == Kind::k2PCDecide ? stats->replayed_decisions
+                                  : stats->replayed_prepared);
     }
+    metrics::Inc(recovered_committed);
+  }
+
+  // Pass 4: the sections of decided gtids whose PREPARE this stream lost,
+  // after the whole stream, in the order the frames were appended here.
+  // Sound because every recovered copy of this log is a prefix of its one
+  // append stream, and the frame was appended before its transaction
+  // released a lock: every later frame that could touch the same rows is
+  // lost with it. Each keeps its frame's LSN, which is above any
+  // checkpoint's covering LSN (a checkpoint forces the log durable first).
+  std::sort(sections.begin(), sections.end(),
+            [](const Section& a, const Section& b) { return a.lsn < b.lsn; });
+  for (const Section& section : sections) {
+    if (local_frames.count(section.gtid) != 0) continue;
+    out.push_back(log::RecoveredTxn{
+        section.gtid, section.lsn,
+        std::vector<log::RedoOp>(section.begin, section.end)});
+    if (stats != nullptr) ++stats->replayed_sections;
     metrics::Inc(recovered_committed);
   }
   return out;

@@ -62,6 +62,8 @@ struct TwoPhaseRecoveryStats {
   uint64_t replayed_prepared = 0;  ///< PREPARE frames replayed (committed).
   /// DECISION frames replayed for the coordinator data ops they carry.
   uint64_t replayed_decisions = 0;
+  /// Decision sections replayed in place of a PREPARE this shard lost.
+  uint64_t replayed_sections = 0;
   uint64_t presumed_aborted = 0;   ///< PREPARE frames dropped (no decision).
 };
 
@@ -69,10 +71,12 @@ struct TwoPhaseRecoveryStats {
 /// `shard_streams` holds every shard's decoded log stream (LSN order, as
 /// DecodeLogImage or repl::ElectLeader returns it); the result is shard
 /// `shard`'s replayable stream: plain frames unchanged, DECISION frames
-/// (the coordinator's data redo behind the k2PCDecide marker) and PREPARE
-/// frames with a durable DECISION anywhere (or a local participant COMMIT)
-/// stripped of their marker, undecided PREPARE frames and data-free control
-/// frames dropped.
+/// (the coordinator's data redo behind the k2PCDecide marker, sections
+/// cut off) and PREPARE frames with a durable DECISION anywhere (or a local
+/// participant COMMIT) stripped of their marker, undecided PREPARE frames
+/// and data-free control frames dropped. Then, after the whole stream and
+/// in LSN order, every decision section for `shard` whose gtid has no
+/// PREPARE or COMMIT frame in `shard`'s stream, carrying that PREPARE's LSN.
 /// Feed the result to ReplayRedo / MySQLMini::RecoverInto per shard.
 std::vector<log::RecoveredTxn> Filter2PCRedo(
     const std::vector<std::vector<log::RecoveredTxn>>& shard_streams,

@@ -1,31 +1,14 @@
 #include "engine/sharded_db.h"
 
+#include <atomic>
+#include <bit>
 #include <cassert>
 
 #include "common/crash_point.h"
 #include "common/durable_acks.h"
+#include "tprofiler/profiler.h"
 
 namespace tdp::engine {
-
-namespace {
-
-int PopCount(uint64_t mask) {
-  int n = 0;
-  for (; mask != 0; mask &= mask - 1) ++n;
-  return n;
-}
-
-uint32_t LowestBit(uint64_t mask) {
-  assert(mask != 0);
-  uint32_t i = 0;
-  while ((mask & 1) == 0) {
-    mask >>= 1;
-    ++i;
-  }
-  return i;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ShardedDatabase
@@ -207,22 +190,29 @@ Status ShardedConnection::CommitRouted(CommitAckFn* ack) {
     if (ack != nullptr) (*ack)(Status::OK());
     return Status::OK();
   }
-  const bool cross = PopCount(begun_mask_) > 1;
+  const bool cross = std::popcount(begun_mask_) > 1;
   metrics::Inc(cross ? db_->m_.cross_shard_txns : db_->m_.single_shard_txns);
   uint64_t writer_mask = 0;
+  bool doomed = false;
   for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
-    const uint32_t i = LowestBit(m);
-    if (cross && sessions_[i]->must_abort()) {
-      // A sub-transaction that failed an operation dooms the whole
-      // transaction: roll back everywhere before any frame is written.
-      DoRollback();
-      return Status::Aborted("transaction had failed; rolled back");
-    }
+    const uint32_t i = std::countr_zero(m);
+    doomed |= sessions_[i]->must_abort();
     if (!sessions_[i]->read_only()) writer_mask |= uint64_t{1} << i;
   }
-  if (PopCount(writer_mask) > 1) {
-    // 2PC is synchronous — the decision force is the latency floor anyway —
-    // so an async caller is acked inline per the base contract.
+  if (cross && doomed) {
+    // A sub-transaction that failed an operation dooms the whole
+    // transaction: roll back everywhere before any frame is written. With
+    // two or more writers that abandons a 2PC round before it starts.
+    if (std::popcount(writer_mask) > 1) {
+      metrics::Inc(db_->m_.coordinated);
+      metrics::Inc(db_->m_.aborted_presumed);
+    }
+    DoRollback();
+    return Status::Aborted("transaction had failed; rolled back");
+  }
+  if (std::popcount(writer_mask) > 1) {
+    // 2PC is synchronous — its one round of forces is the latency floor
+    // anyway — so an async caller is acked inline per the base contract.
     const Status s = CommitCrossShard(writer_mask);
     if (s.ok() && ack != nullptr) (*ack)(s);
     return s;
@@ -232,13 +222,13 @@ Status ShardedConnection::CommitRouted(CommitAckFn* ack) {
   // protocol (one-phase commit, no 2PC frames). Read-only sub-sessions
   // release frame-free once it is done.
   const uint32_t owner =
-      LowestBit(writer_mask != 0 ? writer_mask : begun_mask_);
+      std::countr_zero(writer_mask != 0 ? writer_mask : begun_mask_);
   const Status s = ack != nullptr
                        ? sessions_[owner]->CommitAsync(std::move(*ack))
                        : sessions_[owner]->Commit();
   for (uint64_t m = begun_mask_ & ~(uint64_t{1} << owner); m != 0;
        m &= m - 1) {
-    (void)sessions_[LowestBit(m)]->Commit();  // redo-free: logs nothing
+    (void)sessions_[std::countr_zero(m)]->Commit();  // redo-free: logs nothing
   }
   ResetTxn();
   return s;
@@ -246,35 +236,59 @@ Status ShardedConnection::CommitRouted(CommitAckFn* ack) {
 
 Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
   metrics::Inc(db_->m_.coordinated);
-  const uint32_t coord = LowestBit(writer_mask);
+  const uint32_t coord = std::countr_zero(writer_mask);
   const uint64_t others = begun_mask_ & ~(uint64_t{1} << coord);
 
-  // --- Phase 1: every other participant prepares, all at once -------------
-  // Each PREPARE rides its shard's async append path, so the flushes (and
-  // quorum acks) overlap and the round costs the slowest one, not the sum.
-  // The coordinator writes no PREPARE: its redo rides in the decision.
+  // --- One round: every PREPARE, then at once the DECISION ----------------
+  // Each frame rides its shard's async append path, so the flushes (and
+  // quorum acks) overlap and the round costs the slowest one, not a sum.
+  // The coordinator writes no PREPARE: its redo rides in the decision,
+  // with a copy of every participant's, so the durable decision alone is
+  // the commit point and no vote is awaited before it is issued.
   TDP_CRASH_POINT("2pc.pre_prepare");
-  AckLatch votes;
+  AckLatch round;
+  std::atomic<int> prepares_in_flight{0};
+  std::vector<MySQLSession::DecisionSection> sections;
   for (uint64_t m = others; m != 0; m &= m - 1) {
-    sessions_[LowestBit(m)]->PrepareCommitAsync(gtid_, coord, votes.Expect());
+    const uint32_t i = std::countr_zero(m);
+    prepares_in_flight.fetch_add(1, std::memory_order_relaxed);
+    MySQLSession::DecisionSection section = sessions_[i]->PrepareCommitAsync(
+        gtid_, coord,
+        [&prepares_in_flight, done = round.Expect()](const Status& s) {
+          prepares_in_flight.fetch_sub(1, std::memory_order_acq_rel);
+          done(s);
+        });
+    if (section.lsn != 0) {
+      section.shard = i;
+      sections.push_back(std::move(section));
+    }
   }
-  const Status p = votes.Wait();
-  if (!p.ok()) {
-    // One NO vote aborts the round. No decision will ever be logged for
-    // this gtid, so any prepare frame that did reach a disk is presumed
-    // aborted at recovery; live state rolls back via retained undo.
-    metrics::Inc(db_->m_.aborted_presumed);
-    DoRollback();
-    return p;
-  }
-  metrics::Inc(db_->m_.prepared);
-
-  // --- Commit point: the coordinator's durable decision frame -------------
-  // One forced frame carries the k2PCDecide marker and the coordinator's
-  // data redo, and releases the coordinator's sub-transaction.
+  // Recovery may replay a section in place of a PREPARE frame its shard's
+  // log lost; that is sound because each frame above was appended before
+  // any of this transaction's locks are released (docs/sharding.md).
   TDP_CRASH_POINT("2pc.pre_decide");
-  const Status d = sessions_[coord]->CommitDecision(gtid_, coord);
-  if (!d.ok()) {
+  metrics::Inc(db_->m_.prepared);
+  Status decided;
+  sessions_[coord]->DecideAsync(
+      gtid_, coord, std::move(sections),
+      [&decided, &prepares_in_flight, done = round.Expect()](const Status& s) {
+        if (s.ok() &&
+            prepares_in_flight.load(std::memory_order_acquire) > 0) {
+          // Committed while a PREPARE is still in flight: recovery must be
+          // able to rebuild that shard from the decision's section.
+          TDP_CRASH_POINT("2pc.decided");
+        }
+        decided = s;
+        done(s);
+      });
+  // A participant's ack cannot veto a durable decision, so only the
+  // decision's status counts; the wait still covers every frame. It is
+  // the commit's device wait, so the profiler charges it to trx_commit.
+  {
+    TPROF_SCOPE("trx_commit");
+    (void)round.Wait();
+  }
+  if (!decided.ok()) {
     // Ambiguous: the decision frame is in the coordinator's append stream
     // but its durability could not be confirmed. Never roll back (a crash
     // may yet surface a durable decision) and never log participant COMMIT
@@ -282,22 +296,22 @@ Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
     // siblings presume abort). Release locks, keep the in-memory effects —
     // the same contract as a single-node quorum-loss commit — and surface
     // the retryable/unknown status to the client.
-    for (uint64_t m = others; m != 0; m &= m - 1) {
-      sessions_[LowestBit(m)]->CommitPrepared(gtid_,
+    for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
+      sessions_[std::countr_zero(m)]->CommitPrepared(gtid_,
                                               /*log_commit_frame=*/false);
     }
     ResetTxn();
-    return d;
+    return decided;
   }
   metrics::Inc(db_->m_.decisions);
 
-  // --- Phase 2: participant commits (decision already proves the outcome) -
+  // --- After the round: participant commits (the decision proves them) ----
   TDP_CRASH_POINT("2pc.pre_ack");
-  for (uint64_t m = others; m != 0; m &= m - 1) {
-    sessions_[LowestBit(m)]->CommitPrepared(gtid_);
+  for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
+    sessions_[std::countr_zero(m)]->CommitPrepared(gtid_);
   }
   metrics::Inc(db_->m_.participant_commits,
-               static_cast<uint64_t>(PopCount(writer_mask) - 1));
+               static_cast<uint64_t>(std::popcount(writer_mask) - 1));
   ResetTxn();
   return Status::OK();
 }
@@ -305,7 +319,7 @@ Status ShardedConnection::CommitCrossShard(uint64_t writer_mask) {
 void ShardedConnection::DoRollback() {
   if (!active_) return;
   for (uint64_t m = begun_mask_; m != 0; m &= m - 1) {
-    sessions_[LowestBit(m)]->Rollback();
+    sessions_[std::countr_zero(m)]->Rollback();
   }
   ResetTxn();
 }

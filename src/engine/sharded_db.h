@@ -13,16 +13,20 @@
 //    ack — and any other (read-only) sub-sessions then release with no
 //    frames. This is the fast path sharding must not tax; a cross-shard
 //    transaction with a single writer takes it too (one-phase commit).
-//  * Transactions that wrote on two or more shards run two-phase commit
-//    with presumed abort over the shards' own CRC32C-framed logs, in two
-//    rounds of forces. Round one: every participant except the coordinator
-//    (the lowest-numbered writing shard) issues its PREPARE frame (its data
-//    redo behind a k2PCPrepare marker) at once through its shard's async
-//    append path, and the calling thread collects the votes. Round two:
-//    the coordinator forces ONE k2PCDecide frame carrying its own data redo
-//    — THE commit point. Participants then append unforced k2PCCommit
+//  * Transactions that wrote on two or more shards run a coordinator-logged
+//    two-phase commit with presumed abort over the shards' own
+//    CRC32C-framed logs, in ONE round of forces. Every participant except
+//    the coordinator (the lowest-numbered writing shard) appends its
+//    PREPARE frame (its data redo behind a k2PCPrepare marker) through its
+//    shard's async append path; at once, without waiting for them, the
+//    coordinator appends ONE k2PCDecide frame carrying its own data redo
+//    and a section with a copy of each participant's — THE commit point.
+//    The calling thread waits for all of those acks together. If the
+//    decision is durable the transaction committed, whatever a
+//    participant's ack said: participants then append unforced k2PCCommit
 //    frames and release. No decision anywhere means recovery
-//    (Filter2PCRedo) drops the prepares: presumed abort.
+//    (Filter2PCRedo) drops the prepares: presumed abort; a decision whose
+//    participant lost its PREPARE replays that participant's section.
 //
 // Cross-shard deadlocks: each shard's lock manager only sees its own wait
 // graph, so a cycle spanning shards is invisible to cycle detection and is
@@ -30,11 +34,11 @@
 // when cross-shard transactions are enabled).
 //
 // Metrics (docs/metrics.md): shard.single_shard_txns / shard.cross_shard_txns
-// classify commits by shards touched; 2pc.coordinated counts the rounds run
-// for two or more writers. The 2PC ledger holds
+// classify commits by shards touched; 2pc.coordinated counts the commits
+// of two or more writers. The 2PC ledger holds
 //     2pc.prepared + 2pc.aborted_presumed == 2pc.coordinated
-// (every coordinated round either fully prepares or presumes abort before
-// the decision).
+// (every such commit either runs its round, issuing a decision, or is
+// abandoned before it because a sub-transaction had failed).
 #pragma once
 
 #include <atomic>

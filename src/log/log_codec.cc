@@ -128,7 +128,7 @@ bool ParsePayload(const uint8_t* p, size_t n, uint64_t lsn,
   for (uint32_t i = 0; i < op_count; ++i) {
     if (off + 17 > n) return false;
     RedoOp op;
-    if (p[off] > static_cast<uint8_t>(RedoOp::Kind::k2PCCommit)) return false;
+    if (p[off] > static_cast<uint8_t>(RedoOp::Kind::k2PCSection)) return false;
     op.kind = static_cast<RedoOp::Kind>(p[off]);
     op.table = GetU32(p + off + 1);
     op.key = GetU64(p + off + 5);

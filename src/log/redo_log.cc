@@ -126,7 +126,7 @@ void RedoLog::DrainEpoch() {
   // unless the process crashed: the device then stays dark until reboot, so
   // no later epoch can cover the tail. Resolve it as lost now, as Stop
   // would, rather than strand a committer blocked on its ack (a 2PC
-  // coordinator collecting prepare votes).
+  // coordinator waiting for its round's acks).
   TakenAcks taken = TakeParked(!flushed.ok() &&
                                CrashPoints::Global().triggered());
   if (!taken.ok.empty()) {

@@ -22,15 +22,29 @@ namespace tdp::log {
 ///                data redo, replayed only if the gtid was decided (or
 ///                locally committed).
 ///   k2PCDecide   first op of the coordinator's DECISION frame — the commit
-///                point. The coordinator logs no PREPARE: its data redo
-///                follows the marker in this frame and replays with it (a
-///                marker-only decision, the older layout, replays nothing).
+///                point, appended in the same round as the PREPAREs. The
+///                coordinator logs no PREPARE: its data redo follows the
+///                marker and replays with it (a marker-only decision, an
+///                older layout, replays nothing). Then come the sections.
 ///                No decision frame anywhere => presumed abort.
 ///   k2PCCommit   sole op of a non-coordinator participant's local COMMIT
 ///                frame, written after the decision so that shard's own log
 ///                proves the outcome without consulting the coordinator.
+///   k2PCSection  opens one section of a DECISION frame: a copy of one
+///                participant's PREPARE data redo follows it, up to the
+///                next section or the frame's end. Here `table` is the
+///                participant's shard id and `key` the LSN its PREPARE
+///                frame got on that shard's log. Recovery replays a section
+///                only when the participant's own stream lost the frame.
 struct RedoOp {
-  enum class Kind { kPut, kDelete, k2PCPrepare, k2PCDecide, k2PCCommit };
+  enum class Kind {
+    kPut,
+    kDelete,
+    k2PCPrepare,
+    k2PCDecide,
+    k2PCCommit,
+    k2PCSection,
+  };
   Kind kind = Kind::kPut;
   uint32_t table = 0;  ///< Coordinator shard id for k2PC* markers.
   uint64_t key = 0;    ///< Gtid for k2PC* markers.

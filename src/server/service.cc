@@ -1,5 +1,6 @@
 #include "server/service.h"
 
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -133,10 +134,7 @@ Status TransactionService::Submit(engine::TxnBody body,
       return Status::Overloaded(reason);
     }
     if (router_ != nullptr && !footprint.empty()) {
-      const uint64_t mask = router_->ShardMaskOf(footprint);
-      // popcount via Kernighan: masks are at most kMaxShards bits.
-      int shards = 0;
-      for (uint64_t m = mask; m != 0; m &= m - 1) ++shards;
+      const int shards = std::popcount(router_->ShardMaskOf(footprint));
       metrics::Inc(shards <= 1 ? m_.routed_single : m_.routed_cross);
     }
     auto req = std::make_unique<Request>();

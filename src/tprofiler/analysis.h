@@ -47,7 +47,7 @@ struct Factor {
   FuncId fid_b = kInvalidFunc;
   std::string label;    ///< Human-readable, e.g. "os_event_wait @ a/b/c".
   double value = 0;     ///< Var (ns^2), or 2*Cov for covariance factors.
-  double pct_of_total = 0;  ///< value / Var(transaction latency).
+  double pct_of_total = 0;  ///< 100 * value / Var(transaction latency).
   double score = 0;
   int height = 0;
 };
@@ -57,7 +57,7 @@ struct FunctionShare {
   FuncId fid = kInvalidFunc;
   std::string name;
   double variance = 0;      ///< Σ over call sites of Var(inclusive).
-  double pct_of_total = 0;
+  double pct_of_total = 0;  ///< 100 * variance / Var(transaction latency).
   double score = 0;
 };
 

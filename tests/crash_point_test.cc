@@ -341,8 +341,8 @@ TEST_F(CrashPointTest, EpochCrashPreservesExactlyTheAckedPrefix) {
 // A crash at epoch.pre_flush leaves the log device dark until reboot, so no
 // later epoch can cover the parked tail. The epoch round that tripped the
 // crash must resolve every parked ack as lost itself — without waiting for
-// Stop — or a committer blocked on its ack (a 2PC coordinator collecting
-// prepare votes) hangs until someone stops the log. RedoLog and WalManager
+// Stop — or a committer blocked on its ack (a 2PC coordinator waiting for
+// its round's acks) hangs until someone stops the log. RedoLog and WalManager
 // share this drain rule (docs/group_commit.md), so one body runs for both.
 void ExpectEpochCrashResolvesParkedAcksWithoutStop(
     const std::function<void(uint64_t txn_id, AckFn ack)>& commit_async) {

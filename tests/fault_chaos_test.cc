@@ -83,7 +83,7 @@ TEST(FaultChaosTest, VarianceTreeBlamesTheFlushSubtree) {
   // come back sorted by specificity-weighted score).
   EXPECT_EQ(shares[0].name, "fil_flush")
       << "top factor was " << shares[0].name << " ("
-      << shares[0].pct_of_total * 100 << "% of total variance)\n"
+      << shares[0].pct_of_total << "% of total variance)\n"
       << analysis.ReportString(8);
   // And not marginally: the flush subtree should carry a dominant slice of
   // end-to-end latency variance.
@@ -92,7 +92,7 @@ TEST(FaultChaosTest, VarianceTreeBlamesTheFlushSubtree) {
     if (s.name == "fil_flush") flush_pct = s.pct_of_total;
     if (s.name == "lock_wait_suspend_thread") lock_pct = s.pct_of_total;
   }
-  EXPECT_GT(flush_pct, 0.2) << analysis.ReportString(8);
+  EXPECT_GT(flush_pct, 20.0) << analysis.ReportString(8);  // percent
   EXPECT_GT(flush_pct, lock_pct) << analysis.ReportString(8);
 }
 

@@ -740,7 +740,8 @@ TEST(TransactionServiceTest, RoutingTierClassifiesFootprintsByShardMask) {
 
 // The expiry-after-prepare hazard (docs/sharding.md): a cross-shard request
 // whose first dispatch reached the 2PC prepare phase and then failed
-// retryably (here: one shard's quorum unreachable) requeues with its
+// retryably (here: the coordinator shard's quorum unreachable, so its
+// decision's durability is unknown) requeues with its
 // ORIGINAL admit time. By redispatch it is far past max_queue_age_ns; if the
 // dispatches==0 exemption were missing the service would drop as "expired" a
 // request that already sent prepares — work a coordinator may be counting
@@ -756,17 +757,18 @@ TEST(TransactionServiceTest, RequeueAfter2PCPrepareNeverExpires) {
   uint64_t key1 = 0;
   while (sharded->router().ShardOf(table, key1) != 1) ++key1;
 
-  // Shard 1 loses its quorum: every PREPARE there fails Unavailable until
-  // the replicas come back.
-  ASSERT_NE(sharded->shard(1)->quorum_log(), nullptr);
-  sharded->shard(1)->quorum_log()->KillReplica(1);
-  sharded->shard(1)->quorum_log()->KillReplica(2);
+  // Shard 0, the coordinator, loses its quorum: every DECISION there fails
+  // Unavailable until the replicas come back.
+  ASSERT_NE(sharded->shard(0)->quorum_log(), nullptr);
+  sharded->shard(0)->quorum_log()->KillReplica(1);
+  sharded->shard(0)->quorum_log()->KillReplica(2);
 
   CrashPoints::Global().Reset();
   CrashPoints::Global().SetRecording(true);
 
   auto& reg = metrics::Registry::Global();
-  const uint64_t presumed0 = reg.GetCounter("2pc.aborted_presumed")->value();
+  const uint64_t prepared0 = reg.GetCounter("2pc.prepared")->value();
+  const uint64_t decisions0 = reg.GetCounter("2pc.decisions")->value();
 
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -781,9 +783,9 @@ TEST(TransactionServiceTest, RequeueAfter2PCPrepareNeverExpires) {
       // Second dispatch: heal the quorum so this attempt's 2PC succeeds.
       // Quorum loss latches until an election restores service, so the
       // revives need a failover to clear it (docs/replication.md).
-      sharded->shard(1)->quorum_log()->ReviveReplica(1);
-      sharded->shard(1)->quorum_log()->ReviveReplica(2);
-      sharded->shard(1)->quorum_log()->Failover();
+      sharded->shard(0)->quorum_log()->ReviveReplica(1);
+      sharded->shard(0)->quorum_log()->ReviveReplica(2);
+      sharded->shard(0)->quorum_log()->Failover();
     }
     Status s = c.Update(table, key0, 0, 1);
     if (!s.ok()) return s;
@@ -806,11 +808,12 @@ TEST(TransactionServiceTest, RequeueAfter2PCPrepareNeverExpires) {
   EXPECT_EQ(r.dispatches, 2);
   EXPECT_EQ(calls.load(), 2);
   // The first dispatch entered 2PC (hit the prepare crash point) and
-  // presumed abort when shard 1's quorum failed its PREPARE.
+  // issued a decision that shard 0's lost quorum could not ack.
   const auto it = hits.find("2pc.pre_prepare");
   ASSERT_NE(it, hits.end());
   EXPECT_GE(it->second, 2u);  // both dispatches reached the prepare phase
-  EXPECT_GE(reg.GetCounter("2pc.aborted_presumed")->value() - presumed0, 1u);
+  EXPECT_EQ(reg.GetCounter("2pc.prepared")->value() - prepared0, 2u);
+  EXPECT_EQ(reg.GetCounter("2pc.decisions")->value() - decisions0, 1u);
 
   const TransactionService::Stats st = svc.stats();
   EXPECT_EQ(st.admitted, 1u);

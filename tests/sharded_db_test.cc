@@ -1,15 +1,18 @@
 // ShardedDatabase live behavior: hash routing, the single-shard fast path,
-// single-writer one-phase commit, cross-shard 2PC commit/abort
-// classification (including a NO vote in the prepare fan-out), read-only
-// release, pin overrides, and gtid assignment (docs/sharding.md).
+// single-writer one-phase commit, cross-shard 2PC commit classification
+// (including a participant log failure under a durable decision), the
+// one-device-round commit cost, read-only release, pin overrides, and gtid
+// assignment (docs/sharding.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "engine/recovery.h"
 #include "engine/sharded_db.h"
 #include "log/log_codec.h"
 
@@ -163,17 +166,18 @@ TEST(ShardedDbTest, SingleWriterCrossShardCommitsOnePhase) {
   }
 }
 
-TEST(ShardedDbTest, NoVoteInPrepareFanOutRollsBackEveryShard) {
+TEST(ShardedDbTest, ParticipantLogFailureCannotVetoDurableDecision) {
   ShardedDatabaseConfig cfg = FastConfig(3);
-  // A failed flush surfaces as a NO vote instead of being retried until the
-  // device heals (the strict eager policy would block on it).
+  // A failed flush surfaces as a non-OK ack instead of being retried until
+  // the device heals (the strict eager policy would block on it).
   cfg.shard.log_fallback_lazy_on_stall = true;
   cfg.shard.io_retry.backoff_ns = 1000;
   cfg.shard.io_retry.max_backoff_ns = 10000;
   FaultInjector broken_log;  // outlives the engine's log threads
   broken_log.AddWriteError(0, MillisToNanos(600 * 1000));
   ShardedDatabase db(cfg);
-  // Only shard 2's log device fails; shard 1's PREPARE succeeds.
+  // Only shard 2's log device fails: its PREPARE never becomes durable,
+  // while shard 0's decision (and shard 1's PREPARE) do.
   db.shard(2)->log_disk().set_fault(&broken_log);
   broken_log.Arm();
 
@@ -191,32 +195,128 @@ TEST(ShardedDbTest, NoVoteInPrepareFanOutRollsBackEveryShard) {
   for (int s = 0; s < 3; ++s) {
     ASSERT_TRUE(conn->Update(t, keys[s], 0, s + 1).ok());
   }
-  EXPECT_FALSE(conn->Commit().ok());
+  EXPECT_TRUE(conn->Commit().ok());
 
-  const uint64_t coordinated = CounterValue("2pc.coordinated") - coord0;
-  const uint64_t prepared = CounterValue("2pc.prepared") - prep0;
-  const uint64_t aborted = CounterValue("2pc.aborted_presumed") - abort0;
-  EXPECT_EQ(coordinated, 1u);
-  EXPECT_EQ(aborted, 1u);
-  EXPECT_EQ(prepared + aborted, coordinated);
-  EXPECT_EQ(CounterValue("2pc.decisions") - dec0, 0u);
+  EXPECT_EQ(CounterValue("2pc.coordinated") - coord0, 1u);
+  EXPECT_EQ(CounterValue("2pc.prepared") - prep0, 1u);
+  EXPECT_EQ(CounterValue("2pc.aborted_presumed") - abort0, 0u);
+  EXPECT_EQ(CounterValue("2pc.decisions") - dec0, 1u);
 
-  // Every shard rolled back, and every lock was released.
+  // Every shard applied its write, and every lock was released.
   auto check = db.Connect();
   ASSERT_TRUE(check->Begin().ok());
   for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(*check->ReadColumn(t, keys[s], 0), 100) << "shard " << s;
+    EXPECT_EQ(*check->ReadColumn(t, keys[s], 0), 101 + s) << "shard " << s;
     ASSERT_TRUE(check->SelectForUpdate(t, keys[s]).ok()) << "shard " << s;
   }
   check->Rollback();
 
-  broken_log.Disarm();
-  // No decision reached any stream, durable or not; the healthy participant
-  // did log its PREPARE.
-  EXPECT_EQ(MarkersInStream(db.shard(1), log::RedoOp::Kind::k2PCPrepare), 1);
+  // Crash while shard 2's device is still broken: its durable image lacks
+  // the PREPARE, so recovery rebuilds its row from the decision's section.
+  std::vector<std::vector<log::RecoveredTxn>> streams(3);
   for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(MarkersInStream(db.shard(s), log::RedoOp::Kind::k2PCDecide), 0)
-        << "shard " << s;
+    log::DecodeLogImage(db.shard(s)->redo_log().CrashImage(),
+                        &streams[static_cast<size_t>(s)]);
+  }
+  broken_log.Disarm();
+  ShardedDatabase fresh(FastConfig(3));
+  ASSERT_EQ(fresh.CreateTable("acct", 64), t);
+  for (int s = 0; s < 3; ++s) fresh.BulkUpsert(t, keys[s], storage::Row{100});
+  for (int s = 0; s < 3; ++s) {
+    TwoPhaseRecoveryStats st;
+    MySQLMini::RecoverInto(Filter2PCRedo(streams, static_cast<size_t>(s), &st),
+                           fresh.shard(s));
+    EXPECT_EQ(st.replayed_sections, s == 2 ? 1u : 0u) << "shard " << s;
+  }
+  auto recovered = fresh.Connect();
+  ASSERT_TRUE(recovered->Begin().ok());
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(*recovered->ReadColumn(t, keys[s], 0), 101 + s) << "shard " << s;
+  }
+  ASSERT_TRUE(recovered->Commit().ok());
+}
+
+TEST(ShardedDbTest, CrossShardCommitCostsOneDeviceRound) {
+  // Fixed-latency log devices (20 ms per request, so one force — a write
+  // and a flush — takes about 40 ms) and an epoch per shard, so every frame
+  // of a 2PC round parks on its own shard's epoch and the flushes overlap.
+  // One round of forces costs about one force; two rounds cost two.
+  ShardedDatabaseConfig cfg = FastConfig(2);
+  cfg.shard.log_async_commit = true;
+  cfg.shard.log_disk.base_latency_ns = MillisToNanos(20);
+  cfg.shard.log_disk.bytes_per_us = 0;
+  ShardedDatabase db(cfg);
+  const uint32_t t = db.CreateTable("acct", 64);
+  const uint64_t k0 = KeyOn(db, t, 0);
+  const uint64_t k1 = KeyOn(db, t, 1);
+  db.BulkUpsert(t, k0, storage::Row{0});
+  db.BulkUpsert(t, k1, storage::Row{0});
+
+  auto conn = db.Connect();
+  // Median of three commits, each a Begin..Commit of one or two writes,
+  // timed on idle logs: a previous round's unforced COMMIT frame may still
+  // hold its shard's device.
+  auto median_commit_ns = [&](bool cross) {
+    std::vector<int64_t> ns;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(conn->Begin().ok());
+      EXPECT_TRUE(conn->Update(t, k0, 0, 1).ok());
+      if (cross) {
+        EXPECT_TRUE(conn->Update(t, k1, 0, 1).ok());
+      }
+      for (int s = 0; s < db.num_shards(); ++s) {
+        EXPECT_TRUE(db.shard(s)->redo_log().ForceDurable().ok());
+      }
+      const int64_t start = NowNanos();
+      EXPECT_TRUE(conn->Commit().ok());
+      ns.push_back(NowNanos() - start);
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[1];
+  };
+  const int64_t single = median_commit_ns(false);
+  const int64_t cross = median_commit_ns(true);
+  EXPECT_GT(single, MillisToNanos(30));
+  EXPECT_LT(cross, single * 3 / 2)
+      << "single-shard " << single << " ns, cross-shard " << cross << " ns";
+}
+
+TEST(ShardedDbTest, DoomedCrossShardCommitAbandonsRoundBeforeAnyFrame) {
+  ShardedDatabaseConfig cfg = FastConfig(2);
+  cfg.shard.lock.wait_timeout_ns = MillisToNanos(20);
+  ShardedDatabase db(cfg);
+  const uint32_t t = db.CreateTable("acct", 64);
+  const uint64_t k0 = KeyOn(db, t, 0);
+  const uint64_t k1 = KeyOn(db, t, 1);
+  const uint64_t k1b = KeyOn(db, t, 1, k1 + 1);
+  for (uint64_t k : {k0, k1, k1b}) db.BulkUpsert(t, k, storage::Row{10});
+
+  auto holder = db.Connect();
+  ASSERT_TRUE(holder->Begin().ok());
+  ASSERT_TRUE(holder->SelectForUpdate(t, k1b).ok());
+
+  const uint64_t coord0 = CounterValue("2pc.coordinated");
+  const uint64_t prep0 = CounterValue("2pc.prepared");
+  const uint64_t abort0 = CounterValue("2pc.aborted_presumed");
+  auto conn = db.Connect();
+  ASSERT_TRUE(conn->Begin().ok());
+  ASSERT_TRUE(conn->Update(t, k0, 0, 1).ok());
+  ASSERT_TRUE(conn->Update(t, k1, 0, 1).ok());
+  EXPECT_FALSE(conn->Update(t, k1b, 0, 1).ok());  // lock wait times out
+  EXPECT_TRUE(conn->Commit().IsAborted());
+  holder->Rollback();
+
+  EXPECT_EQ(CounterValue("2pc.coordinated") - coord0, 1u);
+  EXPECT_EQ(CounterValue("2pc.prepared") - prep0, 0u);
+  EXPECT_EQ(CounterValue("2pc.aborted_presumed") - abort0, 1u);
+  auto check = db.Connect();
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(*check->ReadColumn(t, k0, 0), 10);
+  EXPECT_EQ(*check->ReadColumn(t, k1, 0), 10);
+  ASSERT_TRUE(check->Commit().ok());
+  for (int s = 0; s < db.num_shards(); ++s) {
+    EXPECT_EQ(MarkersInStream(db.shard(s), log::RedoOp::Kind::k2PCPrepare), 0);
+    EXPECT_EQ(MarkersInStream(db.shard(s), log::RedoOp::Kind::k2PCDecide), 0);
   }
 }
 

@@ -1,6 +1,7 @@
 // Presumed-abort 2PC recovery: Filter2PCRedo's cross-stream resolution over
-// hand-built streams (folded decision frames and the older decision-only
-// layout), the participant seam (PrepareCommitAsync/CommitPrepared) end to
+// hand-built streams (folded decision frames, the older decision-only
+// layout, and decision sections that stand in for a participant's lost
+// PREPARE), the participant seam (PrepareCommitAsync/CommitPrepared) end to
 // end through real CRC32C-framed crash images, and the codec roundtrip of
 // the k2PC* frame kinds (docs/sharding.md).
 #include <gtest/gtest.h>
@@ -49,11 +50,11 @@ RecoveredTxn ControlFrame(uint64_t lsn, RedoOp::Kind kind, uint32_t coord,
   return t;
 }
 
-/// Phase 1 on one participant session, waiting for its vote.
+/// A PREPARE on one participant session, waiting for its ack.
 Status Prepare(MySQLSession* session, uint64_t gtid, uint32_t coord_shard) {
-  AckLatch vote;
-  session->PrepareCommitAsync(gtid, coord_shard, vote.Expect());
-  return vote.Wait();
+  AckLatch durable;
+  session->PrepareCommitAsync(gtid, coord_shard, durable.Expect());
+  return durable.Wait();
 }
 
 RecoveredTxn PlainFrame(uint64_t txn_id, uint64_t lsn, std::vector<RedoOp> ops) {
@@ -211,6 +212,110 @@ TEST(Filter2PCRedoTest, UndecidedParticipantPrepareIsPresumedAborted) {
     EXPECT_EQ(st.presumed_aborted, shard == 0 ? 0u : 1u);
     EXPECT_EQ(st.replayed_decisions, 0u);
   }
+}
+
+/// Appends one decision section: participant `shard`'s PREPARE at `lsn`.
+void AddSection(RecoveredTxn* decision, uint32_t shard, uint64_t lsn,
+                std::vector<RedoOp> data) {
+  decision->ops.push_back(Marker(RedoOp::Kind::k2PCSection, shard, lsn));
+  for (RedoOp& op : data) decision->ops.push_back(std::move(op));
+}
+
+TEST(Filter2PCRedoTest, SectionReplaysWhenParticipantLostItsPrepare) {
+  // Shard 1's stream ends before its PREPARE (LSN 3) for gtid 40: the
+  // decision's section rebuilds it, after the stream and above a
+  // checkpoint that covers the stream.
+  std::vector<std::vector<RecoveredTxn>> streams(2);
+  RecoveredTxn decision = DecisionFrame(1, 0, 40, {Put(0, 10, 5)});
+  AddSection(&decision, 1, 3, {Put(0, 11, 6), Put(0, 13, 8)});
+  streams[0].push_back(decision);
+  streams[1].push_back(PlainFrame(9, 1, {Put(0, 11, 1)}));
+  streams[1].push_back(PlainFrame(10, 2, {Put(0, 12, 2)}));
+
+  TwoPhaseRecoveryStats s1;
+  const auto out1 = Filter2PCRedo(streams, 1, &s1);
+  ASSERT_EQ(out1.size(), 3u);
+  EXPECT_EQ(out1[2].txn_id, 40u);
+  EXPECT_EQ(out1[2].lsn, 3u);
+  ASSERT_EQ(out1[2].ops.size(), 2u);
+  EXPECT_EQ(out1[2].ops[0].key, 11u);
+  EXPECT_EQ(out1[2].ops[1].key, 13u);
+  EXPECT_EQ(s1.replayed_sections, 1u);
+  EXPECT_EQ(s1.replayed_prepared, 0u);
+
+  storage::Catalog catalog;
+  catalog.CreateTable("t", 64);
+  ReplayRedo(out1, &catalog, /*start_after_lsn=*/2);
+  const storage::Table* table = catalog.GetTable(0u);
+  EXPECT_EQ(table->Read(11)->Get(0), 6);
+  EXPECT_EQ(table->Read(13)->Get(0), 8);
+  EXPECT_FALSE(table->Read(12).ok());  // covered by the checkpoint
+
+  // The coordinator replays only its own data: the section is cut off.
+  TwoPhaseRecoveryStats s0;
+  const auto out0 = Filter2PCRedo(streams, 0, &s0);
+  ASSERT_EQ(out0.size(), 1u);
+  ASSERT_EQ(out0[0].ops.size(), 1u);
+  EXPECT_EQ(out0[0].ops[0].key, 10u);
+  EXPECT_EQ(s0.replayed_decisions, 1u);
+  EXPECT_EQ(s0.replayed_sections, 0u);
+}
+
+TEST(Filter2PCRedoTest, SectionIsSkippedWhileParticipantHoldsItsFrame) {
+  // Shard 1 holds its own frames for both decided gtids, so no section
+  // replays: not for gtid 51, and not for gtid 50, whose PREPARE sits at
+  // or below the checkpoint LSN that ReplayRedo skips. A replayed section
+  // would land after the newer plain frame and roll key 11 back.
+  std::vector<std::vector<RecoveredTxn>> streams(2);
+  RecoveredTxn d50 = DecisionFrame(1, 0, 50, {Put(0, 10, 1)});
+  AddSection(&d50, 1, 1, {Put(0, 11, 1)});
+  RecoveredTxn d51 = DecisionFrame(2, 0, 51, {Put(0, 10, 2)});
+  AddSection(&d51, 1, 3, {Put(0, 11, 2)});
+  streams[0].push_back(d50);
+  streams[0].push_back(d51);
+  streams[1].push_back(PrepareFrame(1, 0, 50, {Put(0, 11, 1)}));
+  streams[1].push_back(ControlFrame(2, RedoOp::Kind::k2PCCommit, 0, 50));
+  streams[1].push_back(PrepareFrame(3, 0, 51, {Put(0, 11, 2)}));
+  streams[1].push_back(ControlFrame(4, RedoOp::Kind::k2PCCommit, 0, 51));
+  streams[1].push_back(PlainFrame(7, 5, {Put(0, 11, 3)}));
+
+  TwoPhaseRecoveryStats st;
+  const auto out = Filter2PCRedo(streams, 1, &st);
+  EXPECT_EQ(st.replayed_sections, 0u);
+  EXPECT_EQ(st.replayed_prepared, 2u);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out.back().lsn, 5u);
+
+  storage::Catalog catalog;
+  catalog.CreateTable("t", 64);
+  ReplayRedo(out, &catalog, /*start_after_lsn=*/2);
+  EXPECT_EQ(catalog.GetTable(0u)->Read(11)->Get(0), 3);
+}
+
+TEST(Filter2PCRedoTest, SectionsReplayInParticipantLsnOrderNotGtidOrder) {
+  // Gtid 70 began first but appended its PREPARE on shard 1 after gtid 71
+  // did (LSN 6 vs 5), and both wrote key 11. Shard 1 lost both frames; the
+  // sections must replay in shard 1's append order, so gtid 70 wins.
+  std::vector<std::vector<RecoveredTxn>> streams(3);
+  RecoveredTxn d70 = DecisionFrame(1, 0, 70, {Put(0, 10, 1)});
+  AddSection(&d70, 1, 6, {Put(0, 11, 70)});
+  RecoveredTxn d71 = DecisionFrame(1, 2, 71, {Put(0, 20, 1)});
+  AddSection(&d71, 1, 5, {Put(0, 11, 71)});
+  streams[0].push_back(d70);
+  streams[2].push_back(d71);
+  streams[1].push_back(PlainFrame(3, 4, {Put(0, 12, 1)}));
+
+  TwoPhaseRecoveryStats st;
+  const auto out = Filter2PCRedo(streams, 1, &st);
+  EXPECT_EQ(st.replayed_sections, 2u);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[1].txn_id, 71u);
+  EXPECT_EQ(out[2].txn_id, 70u);
+
+  storage::Catalog catalog;
+  catalog.CreateTable("t", 64);
+  ReplayRedo(out, &catalog);
+  EXPECT_EQ(catalog.GetTable(0u)->Read(11)->Get(0), 70);
 }
 
 // --- end to end through real crash images ----------------------------------
@@ -386,6 +491,52 @@ TEST(TwoPhaseRecoveryTest, AmbiguousDecisionLogsNoParticipantCommit) {
   TwoPhaseRecoveryStats st;
   EXPECT_TRUE(Filter2PCRedo(streams, 1, &st).empty());
   EXPECT_EQ(st.presumed_aborted, 1u);
+}
+
+TEST(TwoPhaseRecoveryTest, ParticipantImageCutBeforeItsPrepareRecoversRow) {
+  auto db = std::make_unique<ShardedDatabase>(RecoveryConfig(2));
+  const uint32_t t = db->CreateTable("acct", 64);
+  const uint64_t k0 = KeyOn(*db, t, 0);
+  const uint64_t k1 = KeyOn(*db, t, 1);
+  db->BulkUpsert(t, k0, storage::Row{100});
+  db->BulkUpsert(t, k1, storage::Row{200});
+
+  auto conn = db->Connect();
+  ASSERT_TRUE(conn->Begin().ok());
+  ASSERT_TRUE(conn->Update(t, k1, 0, 1).ok());
+  ASSERT_TRUE(conn->Commit().ok());  // single-shard, before the cut
+  const size_t cut = db->shard(1)->redo_log().image_bytes();
+  ASSERT_TRUE(conn->Begin().ok());
+  ASSERT_TRUE(conn->Update(t, k0, 0, 11).ok());
+  ASSERT_TRUE(conn->Update(t, k1, 0, 22).ok());
+  ASSERT_TRUE(conn->Commit().ok());
+  conn.reset();
+
+  // Shard 0's decision is durable; shard 1's image ends right before its
+  // PREPARE, as if the device had lost the frame's flush.
+  std::vector<std::vector<RecoveredTxn>> streams(2);
+  log::DecodeLogImage(db->shard(0)->redo_log().CrashImage(), &streams[0]);
+  std::vector<uint8_t> image = db->shard(1)->redo_log().CrashImage();
+  ASSERT_GT(image.size(), cut);
+  image.resize(cut);
+  log::DecodeLogImage(image, &streams[1]);
+  ASSERT_EQ(streams[1].size(), 1u);
+
+  auto fresh = std::make_unique<ShardedDatabase>(RecoveryConfig(2));
+  ASSERT_EQ(fresh->CreateTable("acct", 64), t);
+  fresh->BulkUpsert(t, k0, storage::Row{100});
+  fresh->BulkUpsert(t, k1, storage::Row{200});
+  for (int s = 0; s < fresh->num_shards(); ++s) {
+    TwoPhaseRecoveryStats st;
+    MySQLMini::RecoverInto(Filter2PCRedo(streams, static_cast<size_t>(s), &st),
+                           fresh->shard(s));
+    EXPECT_EQ(st.replayed_sections, s == 1 ? 1u : 0u) << "shard " << s;
+  }
+  auto check = fresh->Connect();
+  ASSERT_TRUE(check->Begin().ok());
+  EXPECT_EQ(*check->ReadColumn(t, k0, 0), 111);
+  EXPECT_EQ(*check->ReadColumn(t, k1, 0), 223);
+  ASSERT_TRUE(check->Commit().ok());
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 //
 // Every decision derives from the seed, so a failing seed replays exactly:
 //   tdp_crashtest --mode=<mode> --seed-start=<seed> --seed-count=1 --verbose
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cstdint>
@@ -198,6 +199,8 @@ struct SeedResult {
   bool crashed = false;
   uint64_t committed = 0;
   uint64_t acked = 0;
+  uint64_t undecided = 0;
+  uint64_t dropped = 0;
   uint64_t recovered_prefix = 0;
 };
 
@@ -312,6 +315,7 @@ struct Ledger {
   std::vector<OracleTxn> txns;  ///< Acked, unacked and undecided.
   uint64_t committed = 0;       ///< Acked + unacked.
   uint64_t undecided = 0;
+  uint64_t dropped = 0;  ///< Rolled back: not in `txns`.
   uint64_t acked = 0;  ///< Final once ResolveAcks has run.
   std::string crashed_by;  ///< The crash that ended the workload, if any.
 };
@@ -388,6 +392,8 @@ Ledger RunWorkload(uint64_t seed, engine::Connection* conn,
       ledger.txns.push_back(std::move(txn));
       ++(outcome == Outcome::kUndecided ? ledger.undecided : ledger.committed);
       shadow = std::move(scratch);
+    } else {
+      ++ledger.dropped;
     }
     if (CrashPoints::Global().triggered()) break;
     if (hooks.after_commit) hooks.after_commit(ledger.committed);
@@ -398,6 +404,8 @@ Ledger RunWorkload(uint64_t seed, engine::Connection* conn,
   }
   result->crashed = CrashPoints::Global().triggered();
   result->committed = ledger.committed;
+  result->undecided = ledger.undecided;
+  result->dropped = ledger.dropped;
   ledger.crashed_by = CrashPoints::Global().triggered_by();
   return ledger;
 }
@@ -1099,43 +1107,46 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
 // Each seed runs a 2/3/4-shard ShardedDatabase through a single-threaded
 // mixed workload (random keys hash to a natural mix of single- and
 // cross-shard transactions), optionally crashing at one of the coordinator's
-// protocol instants — 2pc.pre_prepare (before any participant prepared),
-// 2pc.pre_decide (prepares durable, decision not yet), 2pc.pre_ack
-// (decision durable, participant commits not yet) — or at the generic redo.*
-// commit sites, or not at all. Per-shard checkpoints and torn log tails ride
-// along on some seeds; half the seeds run epoch async commit, so the
-// prepare fan-out parks on several shards' epochs at once and the crash can
-// land on any of their epoch threads.
+// protocol instants — 2pc.pre_prepare (before the round), 2pc.pre_decide
+// (PREPAREs appended, decision not yet), 2pc.decided (the decision's ack
+// landed OK while a PREPARE is still in flight), 2pc.pre_ack (round over,
+// participant commits not yet) — or at the generic redo.* commit sites, or
+// not at all. Per-shard checkpoints and torn log tails ride along on some
+// seeds; half the seeds run epoch async commit, so a round's frames park on
+// several shards' epochs at once and the crash can land on any of their
+// epoch threads. 2pc.decided needs that overlap, so it is armed on epoch
+// seeds picked by seed number, with the participants' log disks slowed.
 //
 // At reboot every shard's crash image is decoded independently, 2PC outcomes
 // are resolved across the streams with engine::Filter2PCRedo (presumed
-// abort), each filtered stream replays into a fresh shard, and the merged
-// state goes to the shared prefix oracle. Every OK commit before the crash
-// is acked, so the only acceptable states are "all committed" and "all
-// committed + the undecided tail in full". This is ATOMICITY: a cross-shard
-// transaction recovered on some shards but not others matches neither.
-// Checks beyond it:
+// abort, decision sections for lost PREPAREs), each filtered stream replays
+// into a fresh shard, and the merged state goes to the shared prefix oracle.
+// Every OK commit before the crash is acked, so the only acceptable states
+// are "all committed" and "all committed + the undecided tail in full". This
+// is ATOMICITY: a cross-shard transaction recovered on some shards but not
+// others matches neither. Checks beyond it:
 //   * LEDGER: the `2pc` row (src/common/ledger.cc) holds over the seed's
-//     registry delta: every coordinated round fully prepared or presumed
-//     abort,
+//     registry delta: every coordinated round issued a decision or was
+//     abandoned before it,
 //   * every shard's image decodes without DataLoss (torn-tail stops are
 //     expected; DataLoss would be a framing bug).
 //
 // Contract (sync Commit; each shard's epoch may still park the frames):
 //   OK before the crash   -> acked: single-shard commits force their frame,
-//                            2PC forces PREPARE and DECISION frames.
-//   OK after the crash    -> undecided: the 2PC forces report a dark device,
-//                            but the single-shard eager path degrades instead
-//                            of failing the commit (log.degraded_commits), so
-//                            OK does NOT imply the frame reached the durable
-//                            cut.
-//   prepare-phase abort   -> dropped: no decision was logged, so recovery
-//   after the crash          presumes abort and it must NOT resurrect, even
-//                            when its prepare frames survive in a torn tail.
-//   other failure after   -> undecided: a single-shard flush failure or an
-//   the crash                ambiguous 2PC decision leaves frames in the
+//                            2PC forces its one round of frames.
+//   cross-shard OK        -> acked, even when the crash tripped during the
+//   after the crash          commit: OK means the decision's ack was OK, so
+//                            the decision is durable, and recovery must
+//                            rebuild any participant whose PREPARE was lost.
+//   single-shard OK       -> undecided: the single-shard eager path degrades
+//   after the crash          instead of failing the commit
+//                            (log.degraded_commits), so OK does NOT imply the
+//                            frame reached the durable cut.
+//   failure after the     -> undecided: a single-shard flush failure or an
+//   crash                    ambiguous 2PC decision leaves frames in the
 //                            append stream past the durable cut, where a torn
-//                            tail may reveal them.
+//                            tail may reveal them. A participant never votes
+//                            NO, so no commit is rolled back.
 //   failure with no crash -> violation.
 
 struct CoordPlan {
@@ -1149,6 +1160,9 @@ struct CoordPlan {
   /// the DECISION park on per-shard epochs and complete out of order,
   /// instead of each flushing inline on the coordinator's thread.
   bool async_epoch = false;
+  /// Latency spike on every log disk but shard 0's for the whole run, so a
+  /// decision from shard 0 tends to land before its PREPAREs.
+  bool slow_participants = false;
 };
 
 CoordPlan MakeCoordPlan(uint64_t seed, Rng* rng) {
@@ -1172,12 +1186,18 @@ CoordPlan MakeCoordPlan(uint64_t seed, Rng* rng) {
                                 : 1 + rng->Uniform(3 * kMaxTxns);
   }  // else: clean run
   plan.torn_tail = rng->Bernoulli(0.5);
+  // From the seed, after every draw, so the other seeds keep their plans.
+  if (plan.async_epoch && seed % 4 == 1) {
+    plan.slow_participants = true;
+    plan.crash_point = "2pc.decided";
+    plan.crash_occurrence = 1 + (seed / 12) % 4;
+  }
   return plan;
 }
 
-Outcome CoordOutcome(const Status& s, bool crashed_now, bool prepare_aborted) {
+Outcome CoordOutcome(const Status& s, bool crashed_now, bool cross) {
   if (!crashed_now) return s.ok() ? Outcome::kAcked : Outcome::kViolation;
-  return !s.ok() && prepare_aborted ? Outcome::kDropped : Outcome::kUndecided;
+  return s.ok() && cross ? Outcome::kAcked : Outcome::kUndecided;
 }
 
 SeedResult RunCoordinatorCrashSeed(uint64_t seed,
@@ -1191,13 +1211,20 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
   engine::ShardedDatabaseConfig cfg;
   cfg.num_shards = plan.num_shards;
   cfg.shard = LiveMysqlConfig(seed, plan.async_epoch);
+  // Declared before the engine: its log threads use it until they stop.
+  FaultInjector participant_spike;
   auto sharded = std::make_unique<engine::ShardedDatabase>(cfg);
   SetupSchema(sharded.get());
+  if (plan.slow_participants) {
+    participant_spike.AddLatencySpike(0, int64_t{1} << 40, 20.0);
+    for (int s = 1; s < plan.num_shards; ++s) {
+      sharded->shard(s)->log_disk().set_fault(&participant_spike);
+    }
+    participant_spike.Arm();
+  }
 
   auto& reg = metrics::Registry::Global();
   const metrics::MetricsSnapshot before = reg.TakeSnapshot();
-  // Read live by the outcome hook.
-  const metrics::Counter* c_aborted = reg.GetCounter("2pc.aborted_presumed");
 
   if (!plan.crash_point.empty()) {
     CrashPoints::Global().Arm(plan.crash_point, plan.crash_occurrence);
@@ -1206,20 +1233,18 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
   // --- workload ------------------------------------------------------------
   std::vector<CheckpointSlot> ckpt_slots(static_cast<size_t>(plan.num_shards));
   uint64_t cross_txns = 0;
-  uint64_t aborted_seen = c_aborted->value();
   WorkloadHooks hooks;
   hooks.outcome = [&](const OracleTxn& txn, const Status& s,
                       bool crashed_now) {
+    // Every op writes, so the shards touched are the writers.
     uint64_t shards_touched = 0;
     for (const OracleOp& op : txn.ops) {
       shards_touched |= uint64_t{1}
                         << sharded->router().ShardOf(op.table, op.key);
     }
-    if ((shards_touched & (shards_touched - 1)) != 0) ++cross_txns;
-    // Only a prepare-phase abort bumps 2pc.aborted_presumed.
-    const bool prepare_aborted = c_aborted->value() != aborted_seen;
-    aborted_seen = c_aborted->value();
-    return CoordOutcome(s, crashed_now, prepare_aborted);
+    const bool cross = std::popcount(shards_touched) > 1;
+    if (cross) ++cross_txns;
+    return CoordOutcome(s, crashed_now, cross);
   };
   hooks.checkpoint_every = plan.use_checkpoints ? plan.checkpoint_every : 0;
   hooks.checkpoint = [&] {
@@ -1311,7 +1336,7 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
         "seed %llu: shards=%d async=%d committed=%llu cross=%llu "
         "undecided=%d crash=%s ckpt=%d torn=%d 2pc[coord=%llu prep=%llu "
         "abort=%llu decide=%llu] recov[decisions=%llu prepares=%llu "
-        "presumed=%llu]\n",
+        "sections=%llu presumed=%llu]%s\n",
         static_cast<unsigned long long>(seed), plan.num_shards,
         plan.async_epoch ? 1 : 0,
         static_cast<unsigned long long>(result.committed),
@@ -1325,7 +1350,9 @@ SeedResult RunCoordinatorCrashSeed(uint64_t seed,
         static_cast<unsigned long long>(delta.counter("2pc.decisions")),
         static_cast<unsigned long long>(tstats.replayed_decisions),
         static_cast<unsigned long long>(tstats.replayed_prepared),
-        static_cast<unsigned long long>(tstats.presumed_aborted));
+        static_cast<unsigned long long>(tstats.replayed_sections),
+        static_cast<unsigned long long>(tstats.presumed_aborted),
+        plan.slow_participants ? " slow_participants=1" : "");
   }
   return result;
 }
@@ -1400,11 +1427,14 @@ int main(int argc, char** argv) {
   if (start_seed + seeds < start_seed) return tdp::Usage();  // wraps
 
   uint64_t failures = 0, crashes = 0, committed = 0, acked = 0;
+  uint64_t undecided = 0, dropped = 0;
   for (uint64_t seed = start_seed; seed < start_seed + seeds; ++seed) {
     const tdp::SeedResult r = mode->run(seed, engine, verbose);
     crashes += r.crashed ? 1 : 0;
     committed += r.committed;
     acked += r.acked;
+    undecided += r.undecided;
+    dropped += r.dropped;
     if (!r.ok) {
       ++failures;
       std::fprintf(stderr, "FAIL seed %llu: %s\n",
@@ -1414,11 +1444,13 @@ int main(int argc, char** argv) {
   tdp::CrashPoints::Global().Reset();
   std::printf(
       "tdp_crashtest: %llu seeds, %llu crashed, %llu txns committed "
-      "(%llu acked), %llu failures\n",
+      "(%llu acked), %llu undecided, %llu dropped, %llu failures\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(crashes),
       static_cast<unsigned long long>(committed),
       static_cast<unsigned long long>(acked),
+      static_cast<unsigned long long>(undecided),
+      static_cast<unsigned long long>(dropped),
       static_cast<unsigned long long>(failures));
   return failures == 0 ? 0 : 1;
 }
