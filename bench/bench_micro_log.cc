@@ -1,15 +1,18 @@
-// google-benchmark microbenchmarks for the log codec: framing a commit
-// record into a chunked log image (the append every commit pays under the
-// log mutex) and decoding an image back into transactions (recovery and
-// crash-image replay). The argument is row ops per commit: 0 is the
-// payload-free frame perfbench's ycsb_cpu logs, 1 and 4 carry 10-column
-// after-images.
+// google-benchmark microbenchmarks for the log: framing a commit record into
+// a chunked log image (the append every commit pays under the log mutex),
+// decoding an image back into transactions (recovery and crash-image
+// replay), and the software cost of an eager commit's force. For the codec
+// benchmarks the argument is row ops per commit: 0 is the payload-free frame
+// perfbench's ycsb_cpu logs, 1 and 4 carry 10-column after-images.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
+#include "common/sim_disk.h"
 #include "log/log_codec.h"
 #include "log/log_image.h"
+#include "log/redo_log.h"
 
 using namespace tdp;
 using namespace tdp::log;
@@ -66,5 +69,48 @@ void BM_DecodeLogImage(benchmark::State& state) {
                           static_cast<int64_t>(image.size()));
 }
 BENCHMARK(BM_DecodeLogImage)->Arg(0)->Arg(1)->Arg(4);
+
+// One eager commit of a payload-free record on a zero-latency log device (the
+// ycsb_cpu device: base 0, sigma 0, barrier 0), single-threaded. With no
+// device sleep the time is the commit path's software: the append, the
+// force's SimDisk::Service call (one write-through request per force) and
+// the durable-LSN bookkeeping. Arg 0 is per-commit fsync, arg 1 the
+// group-commit leader.
+void BM_EagerCommitZeroLatencyDisk(benchmark::State& state) {
+  SimDiskConfig zero;
+  zero.base_latency_ns = 0;
+  zero.sigma = 0;
+  zero.flush_barrier_ns = 0;
+  zero.bytes_per_us = 1e9;
+  zero.max_concurrency = 8;
+  SimDisk disk(zero);
+  RedoLogConfig cfg;
+  cfg.policy = FlushPolicy::kEagerFlush;
+  cfg.disk = &disk;
+  cfg.group_commit = state.range(0) != 0;
+  auto log = std::make_unique<RedoLog>(cfg);
+  log->Start();
+  uint64_t txn = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log->Commit(++txn, 64));
+    // Bound memory: the log keeps its framed image, so start a fresh one
+    // every 2^20 commits, off the clock.
+    if ((txn & ((uint64_t{1} << 20) - 1)) == 0) {
+      state.PauseTiming();
+      log = std::make_unique<RedoLog>(cfg);
+      log->Start();
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["device_requests_per_commit"] = benchmark::Counter(
+      static_cast<double>(disk.stats().writes.load() +
+                          disk.stats().flushes.load()) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_EagerCommitZeroLatencyDisk)
+    ->ArgName("group_commit")
+    ->Arg(0)
+    ->Arg(1);
 
 }  // namespace

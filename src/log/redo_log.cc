@@ -162,17 +162,11 @@ Status RedoLog::FlushToDevice(uint64_t bytes) {
   TDP_CRASH_POINT("redo.pre_flush");
   if (!config_.disk) return Status::OK();
   int attempts = 0;
-  // A torn flush may have dropped part of the payload, so every attempt
-  // rewrites the whole batch before the barrier.
+  // One write-through request: the payload rides the barrier (InnoDB's
+  // O_DSYNC flush method, an NVMe FUA write). A torn flush may have dropped
+  // part of the payload, so every attempt re-sends the whole batch.
   Status s = RetryIo(
-      config_.io_retry,
-      [&]() -> Status {
-        if (bytes > 0) {
-          Status w = config_.disk->Write(bytes);
-          if (!w.ok()) return w;
-        }
-        return config_.disk->Flush(0);
-      },
+      config_.io_retry, [&] { return config_.disk->Flush(bytes); },
       &attempts);
   if (attempts > 1) {
     stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
@@ -329,8 +323,8 @@ uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
           metrics::Inc(m_.degraded_commits);
         }
       } else {
-        // Per-commit fsync: write own redo and barrier, concurrently with
-        // other committers (the device's concurrency limit applies).
+        // Per-commit fsync: force own redo, concurrently with other
+        // committers (the device's concurrency limit applies).
         if (config_.fallback_lazy_on_stall && config_.disk != nullptr &&
             config_.disk->StallRemainingNanos() >
                 config_.io_retry.stall_deadline_ns) {

@@ -1,10 +1,11 @@
 // Redo log with MySQL's three durability policies (Section 6.3 / Appendix B,
 // innodb_flush_log_at_trx_commit):
 //
-//  * kEagerFlush — the committing thread writes and flushes its redo before
-//    the commit returns (group commit: one flush may cover several
-//    committers). Durable, but puts disk-latency variance on the commit path
-//    (the fil_flush factor of Table 1).
+//  * kEagerFlush — the committing thread forces its redo to the device
+//    before the commit returns, in one write-through request (group commit:
+//    one force may cover several committers). Durable, but puts
+//    disk-latency variance on the commit path (the fil_flush factor of
+//    Table 1).
 //  * kLazyFlush — the committing thread writes, but the flush is deferred to
 //    a background flusher that runs once per interval. Transactions may
 //    commit before their logs are durable.
@@ -52,8 +53,8 @@ struct RedoLogConfig {
   int64_t os_write_latency_ns = 20000;
   /// Eager policy only: when true (classic group commit) one leader flushes
   /// on behalf of concurrent committers — flushes are serialized. When
-  /// false, every committer issues its own write+flush; with a disk that
-  /// has internal parallelism this models per-commit fsync on NVMe.
+  /// false, every committer issues its own force; with a disk that has
+  /// internal parallelism this models per-commit fsync on NVMe.
   bool group_commit = true;
   /// Retry/backoff policy for log I/O that fails under injected faults
   /// (docs/faults.md). With no armed injector the device never fails and
@@ -192,8 +193,10 @@ class RedoLog {
   /// only in fallback mode, when the device stalled past the deadline or a
   /// flush exhausted its retries (the caller's commit is then degraded).
   Status WriteAndFlushUpTo(uint64_t lsn);
-  /// One write+flush round against the device, with bounded retries, under
-  /// the fil_flush probe. OK when the log is deviceless.
+  /// One force of `bytes` against the device: a single write-through
+  /// request (SimDisk::Flush carrying the payload), with bounded retries
+  /// that each re-send the whole batch, under the fil_flush probe. OK when
+  /// the log is deviceless.
   Status FlushToDevice(uint64_t bytes);
   void FlusherLoop();
   void EpochLoop();

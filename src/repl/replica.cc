@@ -63,8 +63,8 @@ Status Replica::Ship(uint64_t term, size_t base_offset, const uint8_t* data,
   // Disk I/O outside mu_: SimDisk sleeps for its simulated service time and
   // readers (CrashImage, watermark queries) must not block behind it. The
   // shipper is this replica's only writer, so image_ cannot move under us.
-  Status s = disk_.Write(size);
-  if (s.ok()) s = disk_.Flush(0);
+  // One write-through request, as the leader's own redo force.
+  const Status s = disk_.Flush(size);
   std::lock_guard<std::mutex> g(mu_);
   if (!s.ok()) {
     // Appended bytes stay as the torn-tail candidate; the watermark holds.

@@ -5,9 +5,9 @@
 // image of the leader's log "file" backed by its own SimDisk (and
 // optionally its own FaultInjector, so its failures stay scoped to this
 // device). The leader's shipper thread hands it contiguous chunks of the
-// CRC32C-framed image (src/log/log_codec); the replica appends, writes and
-// flushes, and only then advances its durable watermark. The image
-// discipline mirrors log::RedoLog exactly:
+// CRC32C-framed image (src/log/log_codec); the replica appends, forces the
+// chunk in one write-through device request, and only then advances its
+// durable watermark. The image discipline mirrors log::RedoLog exactly:
 //
 //  * durable_bytes()/durable_lsn() are *prefix* claims — every byte below
 //    the watermark survived a flush on this replica's device.
@@ -54,7 +54,8 @@ class Replica {
   Replica& operator=(const Replica&) = delete;
 
   /// Appends `size` bytes of the leader's framed image, starting at leader
-  /// image offset `base_offset`, then flushes. `term` is the shipping
+  /// image offset `base_offset`, then forces them in one write-through
+  /// request (SimDisk::Flush carrying the bytes). `term` is the shipping
   /// leader's term; `end_lsn` is the LSN of the last frame the shipped
   /// range completes (the leader knows it — the replica does not reparse).
   ///

@@ -287,6 +287,25 @@ TEST(ReplicaTest, RejectsStaleTermAndAdoptsNewer) {
   EXPECT_EQ(r.durable_lsn(), 2u);
 }
 
+// A ship is one write-through request, as a leader force is: a
+// SimDisk::Flush carrying the shipped bytes, and no separate Write. On a fixed
+// 20 ms device a write followed by a barrier would take at least 40 ms.
+TEST(ReplicaTest, ShipIsOneWriteThroughRequest) {
+  repl::ReplicaConfig cfg;
+  cfg.disk.base_latency_ns = MillisToNanos(20);
+  cfg.disk.sigma = 0;
+  cfg.disk.bytes_per_us = 0;
+  repl::Replica r(cfg);
+  const uint8_t bytes[64] = {};
+  const int64_t t0 = NowNanos();
+  ASSERT_TRUE(r.Ship(/*term=*/1, 0, bytes, sizeof(bytes), /*end_lsn=*/1).ok());
+  EXPECT_LT(NowNanos() - t0, MillisToNanos(30));
+  EXPECT_EQ(r.disk().stats().flushes.load(), 1u);
+  EXPECT_EQ(r.disk().stats().writes.load(), 0u);
+  EXPECT_EQ(r.disk().stats().bytes.load(), sizeof(bytes));
+  EXPECT_EQ(r.durable_bytes(), sizeof(bytes));
+}
+
 TEST(QuorumLogTest, FailoverBouncesUndecidedAcksUnavailable) {
   AckLog acks;
   Cluster c(3, /*park=*/true);

@@ -237,10 +237,10 @@ TEST(ShardedDbTest, ParticipantLogFailureCannotVetoDurableDecision) {
 }
 
 TEST(ShardedDbTest, CrossShardCommitCostsOneDeviceRound) {
-  // Fixed-latency log devices (20 ms per request, so one force — a write
-  // and a flush — takes about 40 ms) and an epoch per shard, so every frame
-  // of a 2PC round parks on its own shard's epoch and the flushes overlap.
-  // One round of forces costs about one force; two rounds cost two.
+  // Fixed-latency log devices (20 ms per request, and one force is one
+  // write-through request, so about 20 ms) and an epoch per shard, so every
+  // frame of a 2PC round parks on its own shard's epoch and the flushes
+  // overlap. One round of forces costs about one force; two rounds cost two.
   ShardedDatabaseConfig cfg = FastConfig(2);
   cfg.shard.log_async_commit = true;
   cfg.shard.log_disk.base_latency_ns = MillisToNanos(20);
@@ -276,7 +276,10 @@ TEST(ShardedDbTest, CrossShardCommitCostsOneDeviceRound) {
   };
   const int64_t single = median_commit_ns(false);
   const int64_t cross = median_commit_ns(true);
-  EXPECT_GT(single, MillisToNanos(30));
+  // Exactly one 20 ms request per force: a second request would put the
+  // single-shard commit past 40 ms.
+  EXPECT_GT(single, MillisToNanos(15));
+  EXPECT_LT(single, MillisToNanos(30));
   EXPECT_LT(cross, single * 3 / 2)
       << "single-shard " << single << " ns, cross-shard " << cross << " ns";
 }

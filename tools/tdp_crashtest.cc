@@ -960,8 +960,8 @@ SeedResult RunReplicaKillSeed(uint64_t seed, const std::string& /*engine*/,
   cfg.repl_disk = cfg.data_disk;
   FaultInjector leader_spike;
   if (plan.slow_leader) {
-    // 20x the quick disk's service time: one leader write + flush takes as
-    // long as twenty replica ships.
+    // 20x the quick disk's service time: one leader force (one write-through
+    // request) takes as long as twenty replica ships.
     leader_spike.AddLatencySpike(0, int64_t{1} << 40, 20.0);
     cfg.log_disk.fault = &leader_spike;
     leader_spike.Arm();
