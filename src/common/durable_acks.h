@@ -2,9 +2,9 @@
 // queue its owners park those callbacks on until a durable watermark covers
 // them, and the latch a synchronous caller waits on.
 //
-// Three layers park acks: log::RedoLog (keyed by LSN), pg::WalManager (per
-// log set, keyed by the frame's end offset in the set's image) and
-// repl::QuorumLog (keyed by LSN, against the quorum watermark). Each parks
+// Three layers park acks: log::RedoLog (keyed by LSN), pg::WalManager (keyed
+// by a commit sequence number shared by its log sets) and repl::QuorumLog
+// (keyed by LSN, against the quorum watermark). Each parks
 // and takes under its own mutex and fires the taken acks outside it, so an
 // ack may re-enter the owner. The exactly-once argument is the same for all
 // three: an ack is in the queue or in one taken batch, never both, and every

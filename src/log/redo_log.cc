@@ -303,11 +303,8 @@ uint64_t RedoLog::Commit(uint64_t txn_id, uint64_t bytes,
     case FlushPolicy::kLazyFlush: {
       // The worker issues a buffered write system call — it lands in the OS
       // page cache, so it costs os_write_latency_ns, not a device trip. The
-      // background flusher issues the durability barrier later.
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        unwritten_bytes_ -= std::min<uint64_t>(bytes, unwritten_bytes_);
-      }
+      // bytes stay in unwritten_bytes_: the background flusher's later
+      // write-through force is what carries them to the device.
       if (config_.os_write_latency_ns > 0) {
         std::this_thread::sleep_for(
             std::chrono::nanoseconds(config_.os_write_latency_ns));

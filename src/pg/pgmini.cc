@@ -11,7 +11,7 @@ PgMini::PgMini(PgMiniConfig config)
     : config_(config), rng_(config.seed * 0xD1B54A32D192ED03ull + 1) {
   lock_manager_ = std::make_unique<lock::LockManager>(config_.lock);
   wal_ = std::make_unique<WalManager>(config_.wal);
-  wal_->Start();  // spawns the epoch thread when wal.async_commit is set
+  wal_->Start();  // spawns the epoch writers when wal.async_commit is set
   btree_ = storage::BTreeModel(config_.btree);
   m_.lock_acquisitions =
       metrics::Registry::Global().GetCounter("pg.lock_acquisitions");
@@ -285,9 +285,12 @@ Status PgSession::DoCommitAsync(CommitAckFn ack) {
     return Status::Aborted("transaction had failed; rolled back");
   }
   if (wal_bytes_ > 0) {
-    // XLogInsert happens before locks drop (frame order on the chosen set
-    // is commit order) and the epoch barrier acks only covered frames, so
-    // early lock release cannot produce an acked-but-lost dependency.
+    // XLogInsert happens before locks drop, and the commit takes its
+    // commit sequence number there, so a commit that read from this one
+    // gets a higher number. An ack fires OK only once every lower number,
+    // on every log set, is durable: the two sets' epoch writers finish
+    // rounds in any order, yet early lock release cannot produce an
+    // acked-but-lost dependency.
     static const std::vector<log::RedoOp> kNoOps;
     const std::vector<log::RedoOp>& ops =
         db_->config_.logical_redo ? redo_ops_ : kNoOps;

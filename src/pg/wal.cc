@@ -8,6 +8,14 @@
 
 namespace tdp::pg {
 
+namespace {
+/// Whole blocks for a payload of `bytes`; an empty payload still writes
+/// one (the record header).
+uint64_t BlocksFor(uint64_t bytes, uint64_t block) {
+  return bytes == 0 ? 1 : (bytes + block - 1) / block;
+}
+}  // namespace
+
 WalManager::WalManager(WalConfig config) : config_(config) {
   if (config_.block_bytes == 0) config_.block_bytes = 8192;
   int sets = config_.num_log_sets < 1 ? 1 : config_.num_log_sets;
@@ -43,7 +51,10 @@ WalManager::~WalManager() { Stop(); }
 void WalManager::Start() {
   if (running_.exchange(true)) return;
   if (config_.async_commit) {
-    epoch_ = std::thread([this] { EpochLoop(); });
+    for (std::unique_ptr<LogSet>& set : sets_) {
+      LogSet* s = set.get();
+      s->writer = std::thread([this, s] { EpochLoop(s); });
+    }
   }
 }
 
@@ -51,21 +62,21 @@ void WalManager::Stop() {
   if (!running_.exchange(false)) return;
   { std::lock_guard<std::mutex> g(stop_mu_); }
   stop_cv_.notify_all();
-  if (epoch_.joinable()) epoch_.join();
-  // Resolve parked acks. Stop does NOT flush (crash simulation relies on
-  // that): an ack whose frame an earlier barrier covered fires OK, every
-  // other one fires non-OK.
   for (std::unique_ptr<LogSet>& set : sets_) {
-    TakenAcks taken;
-    {
-      std::lock_guard<std::mutex> g(set->mu);
-      taken = set->parked.Partition(set->durable_bytes, /*lose_rest=*/true);
-    }
-    taken.Fire(Status::Aborted("wal stopped before epoch flush"));
+    if (set->writer.joinable()) set->writer.join();
   }
+  // Resolve parked acks. Stop does NOT flush (crash simulation relies on
+  // that): an ack whose commit and whole lower-sequence prefix earlier
+  // rounds made durable fires OK, every other one fires non-OK.
+  TakenAcks taken;
+  {
+    std::lock_guard<std::mutex> g(ack_mu_);
+    taken = parked_.Partition(OrderedDurableLocked(), /*lose_rest=*/true);
+  }
+  taken.Fire(Status::Aborted("wal stopped before epoch flush"));
 }
 
-void WalManager::EpochLoop() {
+void WalManager::EpochLoop(LogSet* set) {
   while (running_.load(std::memory_order_relaxed)) {
     {
       std::unique_lock<std::mutex> lk(stop_mu_);
@@ -74,78 +85,127 @@ void WalManager::EpochLoop() {
           [this] { return !running_.load(std::memory_order_relaxed); });
     }
     if (!running_.load(std::memory_order_relaxed)) break;
-    for (std::unique_ptr<LogSet>& set : sets_) DrainEpochSet(set.get());
+    (void)RunRound(set, /*forced=*/false);
   }
 }
 
-void WalManager::DrainEpochSet(LogSet* set) {
+uint64_t WalManager::OrderedDurableLocked() const {
+  // Sequence numbers are handed out under ack_mu_, so every commit below
+  // next_seq_ is either durable or still listed on its set.
+  uint64_t first_undurable = next_seq_;
+  for (const std::unique_ptr<LogSet>& set : sets_) {
+    if (!set->undurable_seqs.empty()) {
+      first_undurable = std::min(first_undurable, set->undurable_seqs.front());
+    }
+  }
+  return first_undurable - 1;
+}
+
+Status WalManager::RunRound(LogSet* set, bool forced) {
+  std::unique_lock<std::mutex> lk(set->mu);
+  // One round at a time per set: a ForceDurable round and the writer's.
+  set->round_done.wait(lk, [set] { return !set->in_round; });
+  uint64_t last_seq = 0;
+  {
+    std::lock_guard<std::mutex> g(ack_mu_);
+    if (!set->undurable_seqs.empty()) last_seq = set->undurable_seqs.back();
+  }
+  if (last_seq == 0 &&
+      !(forced && set->durable_bytes < set->image.size())) {
+    return Status::OK();
+  }
+  // The whole parked batch rides one request. A crash armed here loses the
+  // entire un-flushed round atomically: none of its acks has fired, and
+  // none will fire OK unless the request lands. A checkpoint's forced round
+  // takes the acks it covers too, so it crosses the same site.
+  TDP_CRASH_POINT("epoch.pre_flush");
+  const uint64_t bytes = set->pending_bytes;
+  const size_t end = set->image.size();
+  set->pending_bytes = 0;
+  set->in_round = true;
+  lk.unlock();
+  // No WALWriteLock during the I/O: commits keep inserting into this set.
+  const Status s = WriteThrough(set, bytes);
+  lk.lock();
+  if (s.ok()) {
+    set->durable_bytes = std::max(set->durable_bytes, end);
+  } else {
+    set->pending_bytes += bytes;
+  }
   TakenAcks taken;
   {
-    std::lock_guard<std::mutex> g(set->mu);
-    if (set->parked.empty()) return;
-    // The whole parked batch rides one barrier. A crash armed here loses
-    // the entire un-flushed epoch atomically: no parked ack has fired, and
-    // none will fire OK unless the barrier lands.
-    TDP_CRASH_POINT("epoch.pre_flush");
-    const uint64_t bytes = set->pending_bytes;
-    set->pending_bytes = 0;
-    const Status s = WriteAndFlush(set, bytes);
-    if (!s.ok()) set->pending_bytes += bytes;
-    // Fire exactly the acks the barrier covered (all of them on success;
-    // possibly an earlier-covered prefix on failure). The uncovered tail
-    // waits for the next epoch — unless the process crashed: the device is
-    // then dark until reboot, so resolve the tail as lost now, as Stop
-    // would (the same rule as RedoLog::DrainEpoch).
-    taken = set->parked.Partition(
-        set->durable_bytes, !s.ok() && CrashPoints::Global().triggered());
+    std::lock_guard<std::mutex> g(ack_mu_);
+    if (s.ok()) {
+      while (!set->undurable_seqs.empty() &&
+             set->undurable_seqs.front() <= last_seq) {
+        set->undurable_seqs.pop_front();
+      }
+    }
+    // Fire exactly the acks whose whole sequence prefix is now durable, on
+    // every set. The rest wait for later rounds — unless the process
+    // crashed: the devices are then dark until reboot, so resolve them as
+    // lost now, as Stop would (the same rule as RedoLog::DrainEpoch).
+    taken = parked_.Partition(OrderedDurableLocked(),
+                              !s.ok() && CrashPoints::Global().triggered());
   }
+  // The slot frees only now, so the next round sees this one's outcome.
+  set->in_round = false;
+  lk.unlock();
+  set->round_done.notify_all();
   if (!taken.ok.empty()) {
     stats_.epoch_flushes.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.epoch_flushes);
     metrics::Observe(m_.epoch_batch, static_cast<int64_t>(taken.ok.size()));
   }
   taken.Fire(Status::Aborted("wal device lost in crash"));
+  return s;
+}
+
+Status WalManager::RetryOp(const std::function<Status()>& op) {
+  int attempts = 0;
+  Status s;
+  // Strict mode blocks until the WAL is down: retry rounds repeat until the
+  // device recovers (each round is paced by device service time). A
+  // triggered crash point means the device is dark until reboot, so the
+  // loop escapes instead of hanging the crash harness.
+  do {
+    s = RetryIo(config_.io_retry, op, &attempts);
+    if (attempts > 1) {
+      stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
+                                  std::memory_order_relaxed);
+      metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
+    }
+  } while (!s.ok() && !config_.degrade_on_stall &&
+           !CrashPoints::Global().triggered());
+  if (!s.ok()) {
+    stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
+    metrics::Inc(m_.io_errors);
+  }
+  return s;
 }
 
 Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
   TPROF_SCOPE("XLogFlush");
+  {
+    // This barrier marks the whole image durable, so wait out a round in
+    // flight: its bytes are not on the device yet. Only epoch writers and
+    // ForceDurable run rounds, so a sync-mode commit never waits here.
+    std::unique_lock<std::mutex> lk(set->mu, std::adopt_lock);
+    set->round_done.wait(lk, [set] { return !set->in_round; });
+    lk.release();
+  }
   TDP_CRASH_POINT("wal.pre_flush");
-  const uint64_t blocks =
-      bytes == 0 ? 1 : (bytes + config_.block_bytes - 1) / config_.block_bytes;
-  auto attempt_op = [&](auto&& op) -> Status {
-    int attempts = 0;
-    Status s;
-    // Strict mode blocks until the WAL is down: retry rounds repeat until
-    // the device recovers (each round is paced by device service time). A
-    // triggered crash point means the device is dark until reboot, so the
-    // loop escapes instead of hanging the crash harness.
-    do {
-      s = RetryIo(config_.io_retry, op, &attempts);
-      if (attempts > 1) {
-        stats_.io_retries.fetch_add(static_cast<uint64_t>(attempts - 1),
-                                    std::memory_order_relaxed);
-        metrics::Inc(m_.io_retries, static_cast<uint64_t>(attempts - 1));
-      }
-    } while (!s.ok() && !config_.degrade_on_stall &&
-             !CrashPoints::Global().triggered());
-    return s;
-  };
+  const uint64_t blocks = BlocksFor(bytes, config_.block_bytes);
   for (uint64_t i = 0; i < blocks; ++i) {
-    Status s = attempt_op([&] { return set->disk.Write(config_.block_bytes); });
-    if (!s.ok()) {
-      stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-      metrics::Inc(m_.io_errors);
-      return s;
-    }
+    const Status s =
+        RetryOp([&] { return set->disk.Write(config_.block_bytes); });
+    if (!s.ok()) return s;
     stats_.blocks_written.fetch_add(1, std::memory_order_relaxed);
     metrics::Inc(m_.blocks_written);
     metrics::Inc(m_.bytes_written, config_.block_bytes);
   }
-  Status s = attempt_op([&] { return set->disk.Flush(0); });
-  if (!s.ok()) {
-    stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-    metrics::Inc(m_.io_errors);
-  } else {
+  const Status s = RetryOp([&] { return set->disk.Flush(0); });
+  if (s.ok()) {
     // The barrier covers every byte written to this set so far, including
     // frames left behind by earlier degraded commits.
     set->durable_bytes = set->image.size();
@@ -154,18 +214,29 @@ Status WalManager::WriteAndFlush(LogSet* set, uint64_t bytes) {
   return s;
 }
 
+Status WalManager::WriteThrough(LogSet* set, uint64_t bytes) {
+  TPROF_SCOPE("XLogFlush");
+  TDP_CRASH_POINT("wal.pre_flush");
+  const uint64_t blocks = BlocksFor(bytes, config_.block_bytes);
+  // One write-through request: the round's blocks ride the barrier (as in
+  // RedoLog::FlushToDevice). A torn flush may have dropped part of the
+  // payload, so every attempt re-sends the whole round.
+  const Status s = RetryOp(
+      [&] { return set->disk.Flush(blocks * config_.block_bytes); });
+  if (s.ok()) {
+    stats_.blocks_written.fetch_add(blocks, std::memory_order_relaxed);
+    metrics::Inc(m_.blocks_written, blocks);
+    metrics::Inc(m_.bytes_written, blocks * config_.block_bytes);
+    TDP_CRASH_POINT("wal.post_flush");
+  }
+  return s;
+}
+
 Status WalManager::ForceDurable() {
   Status result = Status::OK();
   for (std::unique_ptr<LogSet>& set : sets_) {
-    std::lock_guard<std::mutex> g(set->mu);
-    if (set->durable_bytes >= set->image.size()) continue;
-    const uint64_t bytes = set->pending_bytes;
-    set->pending_bytes = 0;
-    const Status s = WriteAndFlush(set.get(), bytes);
-    if (!s.ok()) {
-      set->pending_bytes += bytes;
-      if (result.ok()) result = s;
-    }
+    const Status s = RunRound(set.get(), /*forced=*/true);
+    if (!s.ok() && result.ok()) result = s;
   }
   return result;
 }
@@ -192,11 +263,17 @@ WalManager::LogSet* WalManager::AcquireSet(size_t* index) {
     chosen = sets_[0].get();
   } else {
     // Parallel logging: take a free set if any; otherwise wait on the set
-    // with the fewest waiters (Section 6.2).
-    for (size_t i = 0; i < sets_.size() && chosen == nullptr; ++i) {
-      if (sets_[i]->mu.try_lock()) {
-        chosen = sets_[i].get();
-        chosen_index = i;
+    // with the fewest waiters (Section 6.2). The first pass takes only a
+    // free set whose device is idle: under async commit a free WALWriteLock
+    // may hide a round in flight. In sync mode a free lock already means an
+    // idle device, so the passes pick what one pass would.
+    for (int pass = 0; pass < 2 && chosen == nullptr; ++pass) {
+      for (size_t i = 0; i < sets_.size() && chosen == nullptr; ++i) {
+        if (pass == 0 && !sets_[i]->disk.idle()) continue;
+        if (sets_[i]->mu.try_lock()) {
+          chosen = sets_[i].get();
+          chosen_index = i;
+        }
       }
     }
     if (chosen == nullptr) {
@@ -283,25 +360,37 @@ void WalManager::CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
                                   AckFn ack, uint64_t* out_lsn) {
   const std::vector<log::RedoOp>* framed = ops.empty() ? nullptr : &ops;
   if (!config_.async_commit || !running_.load(std::memory_order_acquire)) {
-    // No epoch thread to cover us: synchronous commit, ack inline. The
-    // running_ re-check under the set lock below closes the Stop race; this
+    // No epoch writers to cover us: synchronous commit, ack inline. The
+    // running_ re-check under ack_mu_ below closes the Stop race; this
     // early check just spares the common stopped/disabled case the park.
     ack(FlushAndRelease(Insert(txn_id, bytes, framed, out_lsn), bytes));
     return;
   }
-  // Only the frame goes in now: the epoch barrier does the device work.
+  // Only the frame goes in now: the set's next round does the device work.
   LogSet* set = Insert(txn_id, bytes, framed, out_lsn);
   stats_.async_commits.fetch_add(1, std::memory_order_relaxed);
   metrics::Inc(m_.async_commits);
-  if (!running_.load(std::memory_order_relaxed)) {
-    // Stop() already drained this set's parked acks; parking now would
-    // strand the ack. Flush synchronously instead (same path a stopped log
-    // takes).
+  bool parked = false;
+  {
+    // The sequence number is taken under the set's lock, with the frame,
+    // so it orders this commit after every commit it could have read from.
+    // Stop() resolves parked acks under ack_mu_ after clearing running_,
+    // so an ack parked here is never stranded.
+    std::lock_guard<std::mutex> g(ack_mu_);
+    if (running_.load(std::memory_order_relaxed)) {
+      const uint64_t seq = next_seq_++;
+      set->undurable_seqs.push_back(seq);
+      parked_.Park(seq, std::move(ack));
+      parked = true;
+    }
+  }
+  if (!parked) {
+    // Stop() already resolved the parked acks: flush synchronously instead
+    // (same path a stopped log takes).
     ack(FlushAndRelease(set, bytes));
     return;
   }
   set->pending_bytes += bytes;
-  set->parked.Park(set->image.size(), std::move(ack));
   set->mu.unlock();
 }
 

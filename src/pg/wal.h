@@ -10,13 +10,22 @@
 // if none is free it waits on the set with the fewest waiters.
 //
 // Writes are rounded up to whole blocks (the block-size tuning knob of
-// Section 7.5): a commit of B bytes issues ceil(B / block) block writes
-// followed by a durability barrier.
+// Section 7.5): a synchronous commit of B bytes issues ceil(B / block) block
+// writes followed by a durability barrier.
+//
+// Async commit (docs/group_commit.md): each log set has its own epoch
+// writer, so the sets' disks flush at the same time. A round sends the set's
+// pending payload, rounded up to whole blocks, as one write-through device
+// request, and holds no WALWriteLock during that I/O. Async commits take a
+// global commit sequence number when they insert; an ack fires OK only once
+// every commit with a lower sequence number, on every set, is durable.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -48,12 +57,14 @@ struct WalConfig {
   /// retrying until its WAL is down.
   bool degrade_on_stall = false;
   /// Epoch-based asynchronous group commit (docs/group_commit.md): when
-  /// true, Start() spawns an epoch thread and CommitFlushAsync parks the
-  /// caller's ack on its chosen set's current epoch. Once per
-  /// epoch_interval_ns the epoch thread writes each set's pending payload,
-  /// issues one barrier per set, and fires the covered acks.
+  /// true, Start() spawns one epoch writer per log set and
+  /// CommitFlushAsync parks the caller's ack. Once per epoch_interval_ns
+  /// each writer forces its own set's pending payload in one write-through
+  /// request, then fires the acks whose whole commit-order prefix is
+  /// durable on every set.
   bool async_commit = false;
-  /// Epoch length for async_commit (a tuning knob, docs/tuning.md).
+  /// Epoch length for async_commit, per writer (a tuning knob,
+  /// docs/tuning.md).
   int64_t epoch_interval_ns = 50 * 1000;
 };
 
@@ -65,13 +76,14 @@ class WalManager {
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
 
-  /// Starts the epoch thread (needed for async_commit; no-op otherwise).
+  /// Starts one epoch writer per log set (needed for async_commit; no-op
+  /// otherwise).
   void Start();
-  /// Stops the epoch thread *without* flushing pending epochs, then
-  /// resolves every parked ack: OK iff an earlier barrier covered its
-  /// frame, non-OK otherwise — an acked-OK-but-lost commit is impossible.
-  /// An epoch barrier that fails after a crash resolves its set's parked
-  /// acks the same way without waiting for Stop.
+  /// Stops the epoch writers *without* flushing pending rounds, then
+  /// resolves every parked ack: OK iff earlier rounds made it and every
+  /// lower-sequence commit durable, non-OK otherwise — an
+  /// acked-OK-but-lost commit is impossible. A round that fails after a
+  /// crash resolves the parked acks the same way without waiting for Stop.
   void Stop();
 
   /// Flushes `bytes` of WAL for a committing transaction, per the mode.
@@ -90,19 +102,22 @@ class WalManager {
                      uint64_t* out_lsn = nullptr);
 
   /// Like CommitFlush(txn_id, ...) but returns as soon as the frame is in
-  /// the chosen set's WAL buffer; the ack parks on that set's epoch and
-  /// fires exactly once, OK iff an epoch barrier covers the frame
-  /// (config.async_commit, docs/group_commit.md). Without a running epoch
-  /// thread this degrades to a synchronous flush with an inline ack. Pass
-  /// empty `ops` for a byte-only commit (no recoverable payload).
+  /// the chosen set's WAL buffer. The commit takes the next commit sequence
+  /// number, and its ack fires exactly once: OK iff a round made this
+  /// commit durable and every commit with a lower sequence number, on any
+  /// set, is durable too (config.async_commit, docs/group_commit.md).
+  /// Without running epoch writers this degrades to a synchronous flush
+  /// with an inline ack. Pass empty `ops` for a byte-only commit (no
+  /// recoverable payload): it is keyed by its sequence number all the same.
   void CommitFlushAsync(uint64_t txn_id, uint64_t bytes,
                         const std::vector<log::RedoOp>& ops, AckFn ack,
                         uint64_t* out_lsn = nullptr);
 
-  /// Barriers every log set until its whole image is durable (the
-  /// write-ahead rule for checkpoints, docs/group_commit.md). Returns the
-  /// first failure; on non-OK some set's durable watermark may still trail
-  /// its appended frames.
+  /// Runs a round on every log set that holds undurable frames or async
+  /// commits, after any round already in flight there (the write-ahead
+  /// rule for checkpoints, docs/group_commit.md), and fires the acks it
+  /// covers. Returns the first failure; on non-OK some set's durable
+  /// watermark may still trail its appended frames.
   Status ForceDurable();
 
   /// The byte images a post-crash read of each set's log disk would see:
@@ -139,12 +154,14 @@ class WalManager {
     std::atomic<uint64_t> degraded_commits{0};  ///< Commits that skipped or
                                                 ///< abandoned the flush.
     std::atomic<uint64_t> async_commits{0};  ///< CommitFlushAsync calls.
-    std::atomic<uint64_t> epoch_flushes{0};  ///< Epoch rounds that fired acks.
+    std::atomic<uint64_t> epoch_flushes{0};  ///< Rounds that fired acks.
   };
   const Stats& stats() const { return stats_; }
 
   uint64_t block_bytes() const { return config_.block_bytes; }
   int num_log_sets() const { return static_cast<int>(sets_.size()); }
+  /// Log set `set`'s device (its stats and queue depth).
+  const SimDisk& disk(int set) const { return sets_[set]->disk; }
   /// Highest LSN assigned so far (0 before the first framed commit).
   uint64_t last_lsn() const {
     return next_lsn_.load(std::memory_order_relaxed) - 1;
@@ -161,22 +178,36 @@ class WalManager {
     /// subsequence; recovery merges the sets by LSN.
     log::LogImage image;
     /// Bytes of `image` covered by a successful flush (guarded by mu). A
-    /// flush is a device barrier for the whole set, so success advances
-    /// this to image.size() — including frames from earlier degraded
-    /// commits on the same set.
+    /// synchronous barrier covers the whole set, so it advances this to
+    /// image.size() — including frames from earlier degraded commits; a
+    /// round advances it to the image end it recorded before its I/O.
     size_t durable_bytes = 0;
-    /// Async-commit payload bytes appended but not yet written; drained by
-    /// the next epoch barrier on this set (guarded by mu).
+    /// Async-commit payload bytes appended but not yet written; the next
+    /// round on this set sends them (guarded by mu).
     uint64_t pending_bytes = 0;
-    /// Acks parked on this set's epoch (guarded by mu), keyed by the end
-    /// of the commit's frame in `image`: an ack fires OK once
-    /// durable_bytes reaches its mark.
-    ParkedAcks parked;
+    /// The set's I/O slot (guarded by mu): true while a round's device
+    /// request is in flight without mu held. Rounds, and the synchronous
+    /// path before its own I/O, wait on `round_done` until it clears, so
+    /// no one marks a round's bytes durable before they are written.
+    bool in_round = false;
+    std::condition_variable round_done;
+    /// Sequence numbers of this set's async commits that no successful
+    /// round has covered yet, ascending (guarded by the manager's ack_mu_).
+    std::deque<uint64_t> undurable_seqs;
+    std::thread writer;  ///< This set's epoch writer (async_commit).
   };
 
-  /// Writes the block-aligned payload and issues the barrier, with bounded
-  /// retries per operation. The caller must hold `set`'s mutex.
+  /// Writes the block-aligned payload as ceil(bytes / block) block writes
+  /// and issues the barrier, with bounded retries per operation — the
+  /// per-commit path whose block size Section 7.5 tunes. The caller must
+  /// hold `set`'s mutex.
   Status WriteAndFlush(LogSet* set, uint64_t bytes);
+  /// One write-through request carrying `bytes` rounded up to whole blocks;
+  /// a torn or failed request re-sends the whole round. Needs no lock.
+  Status WriteThrough(LogSet* set, uint64_t bytes);
+  /// Runs `op` under the retry policy; in strict mode repeats retry rounds
+  /// until the op succeeds or the process crashed.
+  Status RetryOp(const std::function<Status()>& op);
 
   /// The append step (XLogInsert) every commit path shares: counts the
   /// commit, takes a set and, when `ops` is non-null, frames `txn_id`'s
@@ -187,23 +218,33 @@ class WalManager {
   /// Flushes `bytes` on a set Insert returned, per the degraded-mode rules,
   /// then unlocks it.
   Status FlushAndRelease(LogSet* set, uint64_t bytes);
-  /// Takes a set per the Section 6.2 protocol (free set, else fewest
-  /// waiters) and returns it *locked*; `index` gets its position.
+  /// Takes a set per the Section 6.2 protocol (a free set, preferring one
+  /// whose device is idle, else the fewest waiters) and returns it
+  /// *locked*; `index` gets its position.
   LogSet* AcquireSet(size_t* index);
-  void EpochLoop();
-  /// One epoch round on one set: write its pending payload, barrier, fire
-  /// covered acks (and, if the barrier failed after a crash, the rest as
-  /// lost). No-op when the set has no parked commits.
-  void DrainEpochSet(LogSet* set);
-
+  void EpochLoop(LogSet* set);
+  /// One round on one set: record its pending payload and image end under
+  /// mu, send them in one write-through request without mu, then mark
+  /// them durable and fire the acks now in order (and, if the round failed
+  /// after a crash, every other parked ack as lost). The epoch writer's
+  /// rounds are a no-op when the set has no async commit to cover; a
+  /// `forced` round (ForceDurable) also runs for undurable frames.
+  Status RunRound(LogSet* set, bool forced);
+  /// The highest commit sequence number whose whole prefix is durable on
+  /// every set. Requires ack_mu_.
+  uint64_t OrderedDurableLocked() const;
   WalConfig config_;
   std::vector<std::unique_ptr<LogSet>> sets_;
   std::atomic<uint64_t> next_lsn_{1};  ///< Global WAL insert position.
   std::atomic<bool> running_{false};
-  std::thread epoch_;  ///< Async group-commit epoch thread (async_commit).
-  /// Interrupts the epoch thread's inter-round nap so Stop() is prompt.
+  /// Interrupts the epoch writers' inter-round naps so Stop() is prompt.
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
+  /// The ack order across sets. Taken after a set's mu, never before it.
+  std::mutex ack_mu_;
+  uint64_t next_seq_ = 1;  ///< Next async commit sequence number (ack_mu_).
+  /// Every parked async ack, keyed by its commit sequence number (ack_mu_).
+  ParkedAcks parked_;
   Stats stats_;
   // Registry handles (null when metrics are disarmed or compiled out).
   // `wal.commit_bytes` is requested payload; `wal.bytes_written` is the
@@ -223,7 +264,7 @@ class WalManager {
     metrics::Counter* degraded_commits = nullptr;
     metrics::Counter* async_commits = nullptr;
     metrics::Counter* epoch_flushes = nullptr;
-    Histogram* epoch_batch = nullptr;  ///< Acks fired per epoch barrier.
+    Histogram* epoch_batch = nullptr;  ///< Acks fired per round.
     std::vector<Histogram*> queue_depth;  ///< wal.queue_depth.set<i>
   };
   MetricHandles m_;

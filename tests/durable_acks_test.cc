@@ -61,8 +61,8 @@ TEST(ParkedAcksTest, OutOfOrderParksAreTakenInMarkOrder) {
 }
 
 TEST(ParkedAcksTest, EqualMarksKeepParkOrder) {
-  // WalManager keys by frame end offset; a byte-only commit appends no
-  // frame, so two acks can share a mark. Both fire, first-parked first.
+  // Marks need not be unique: acks that share a mark all fire, first-parked
+  // first.
   ParkedAcks parked;
   std::vector<int> order;
   parked.Park(8, [&](const Status&) { order.push_back(1); });

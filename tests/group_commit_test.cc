@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crash_point.h"
 #include "common/fault.h"
 #include "common/work.h"
 #include "engine/factory.h"
@@ -226,7 +227,7 @@ TEST(GroupCommitTest, WalEpochBarrierFiresAcksAcrossLogSets) {
                          OneOp(static_cast<uint64_t>(i + 1)), acks.Make());
   }
   ASSERT_TRUE(WaitFor([&] { return acks.fired.load() == kCommits; }))
-      << "parked acks never fired; epoch thread stuck?";
+      << "parked acks never fired; epoch writer stuck?";
   EXPECT_EQ(acks.ok_count(), kCommits);
   EXPECT_EQ(wal.stats().async_commits.load(), static_cast<uint64_t>(kCommits));
   EXPECT_GE(wal.stats().epoch_flushes.load(), 1u);
@@ -263,6 +264,56 @@ TEST(GroupCommitTest, WalStopWithoutBarrierAcksParkedCommitsNonOK) {
   const auto rr = pg::WalManager::RecoverCommitted(wal.CrashImages(), &out);
   EXPECT_TRUE(rr.status.ok());
   EXPECT_TRUE(out.empty());  // nothing acked OK, nothing recovered
+}
+
+// Clears the process-wide crash flag on entry and on scope exit, so a failed
+// assertion cannot leave it tripped for later tests.
+struct CrashGuard {
+  CrashGuard() { CrashPoints::Global().Reset(); }
+  ~CrashGuard() { CrashPoints::Global().Reset(); }
+};
+
+// Byte-only commits (logical_redo off) append no frame, so they cannot be
+// keyed by an image offset: Stop without a round must still ack them non-OK.
+TEST(GroupCommitTest, WalByteOnlyStopWithoutBarrierAcksNonOK) {
+  pg::WalConfig cfg;
+  cfg.block_bytes = 512;
+  cfg.num_log_sets = 2;
+  cfg.disk = FastDisk();
+  cfg.async_commit = true;
+  cfg.epoch_interval_ns = MillisToNanos(30000);
+  pg::WalManager wal(cfg);
+  wal.Start();
+
+  AckLog acks;
+  for (int i = 0; i < 3; ++i) {
+    wal.CommitFlushAsync(static_cast<uint64_t>(i + 1), 300, {}, acks.Make());
+  }
+  EXPECT_EQ(acks.fired.load(), 0);
+  wal.Stop();
+  EXPECT_EQ(acks.fired.load(), 3);
+  EXPECT_EQ(acks.ok_count(), 0);
+}
+
+// The same byte-only commits when a crash hits the round: none acks OK.
+TEST(GroupCommitTest, WalByteOnlyCrashDuringRoundAcksNonOK) {
+  CrashGuard crash_guard;
+  pg::WalConfig cfg;
+  cfg.block_bytes = 512;
+  cfg.disk = FastDisk();
+  cfg.async_commit = true;
+  cfg.epoch_interval_ns = MillisToNanos(200);
+  pg::WalManager wal(cfg);
+  wal.Start();
+  CrashPoints::Global().Arm("epoch.pre_flush");
+
+  AckLog acks;
+  for (int i = 0; i < 3; ++i) {
+    wal.CommitFlushAsync(static_cast<uint64_t>(i + 1), 300, {}, acks.Make());
+  }
+  ASSERT_TRUE(WaitFor([&] { return acks.fired.load() == 3; }))
+      << "the crashed round never resolved its acks";
+  EXPECT_EQ(acks.ok_count(), 0);
 }
 
 // --- service async-ack latency (satellite S3) -------------------------------

@@ -161,6 +161,29 @@ bool WaitFor(Pred done) {
   return true;
 }
 
+// Lazy-flush's buffered write lands in the page cache, not on the device;
+// the flusher's write-through force must still carry every byte of it.
+TEST(RedoLogTest, LazyFlushForceCarriesTheBufferedBytes) {
+  SimDiskConfig dcfg = FastDisk();
+  dcfg.sigma = 0;
+  SimDisk disk(dcfg);
+  RedoLogConfig cfg;
+  cfg.policy = FlushPolicy::kLazyFlush;
+  cfg.disk = &disk;
+  cfg.flusher_interval_ns = MillisToNanos(100);
+  RedoLog log(cfg);
+  log.Start();
+  uint64_t lsn = 0;
+  for (uint64_t i = 1; i <= 10; ++i) lsn = log.Commit(i, 1000);
+  // The commit path issues no device request and moves no byte.
+  EXPECT_EQ(disk.stats().flushes.load(), 0u);
+  EXPECT_EQ(disk.stats().bytes.load(), 0u);
+  ASSERT_TRUE(WaitFor([&] { return log.durable_lsn() >= lsn; }));
+  EXPECT_EQ(disk.stats().writes.load(), 0u);
+  EXPECT_EQ(disk.stats().bytes.load(), 10000u);
+  log.Stop();
+}
+
 // Every force path issues one write-through request per commit: a
 // SimDisk::Flush that carries the commit's bytes, and no separate Write. On a
 // fixed 20 ms device a force split into a write and a barrier would take two

@@ -69,6 +69,14 @@ for mode in recovery replica-kill coordinator-crash; do
   fi
 done
 
+# pgmini's per-set epoch writers: each set's round runs its device request
+# without the set's lock while commits insert and other rounds fire acks.
+echo "==== TSan: tdp_crashtest --mode=recovery --engine=pg ===="
+if ! "$BUILD_DIR/tools/tdp_crashtest" --mode=recovery --engine=pg \
+    --seed-count=30; then
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "TSan run FAILED (see reports above)" >&2
   exit 1

@@ -202,6 +202,9 @@ struct SeedResult {
   uint64_t undecided = 0;
   uint64_t dropped = 0;
   uint64_t recovered_prefix = 0;
+  /// Recovery was judged against the salvage model: the recovered stream
+  /// was no ledger prefix on a seed where LSN holes are allowed.
+  bool salvaged = false;
 };
 
 SeedResult Failed(SeedResult result, std::string error) {
@@ -701,7 +704,7 @@ SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
   // is exactly what a post-reboot log scan would see.
   std::vector<std::vector<uint8_t>> images;
   if (plan.use_pg) {
-    // CrashImages does not stop the epoch thread; stop explicitly so the
+    // CrashImages does not stop the epoch writers; stop explicitly so the
     // durable watermarks freeze and every parked ack resolves (non-OK).
     pgdb->wal().Stop();
     std::vector<uint64_t> tails;
@@ -763,11 +766,11 @@ SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
   // (1) Prefix property. Some seeds can legitimately break it: pg's parallel
   // WAL salvages every decodable frame across sets by contract (see
   // tests/pg_recovery_test.cc), so a mid-stream LSN hole — one set's frames
-  // lost to a flipped bit or a torn tail while another set's survive, or the
-  // epoch thread caught mid-way through its per-set barriers — yields a
+  // lost to a flipped bit or a torn tail while another set's survive, or a
+  // crash between one set's epoch round landing and the other's — yields a
   // non-prefix mixture. For those seeds only, fall back to salvage
   // equivalence: the recovered state must equal checkpoint-base + every
-  // decoded frame above the stamp.
+  // decoded frame above the stamp. The summary line counts these seeds.
   //
   // (2) Durability: every acked transaction is recovered. Waived when we
   // deliberately destroyed durable bytes (corruption seeds).
@@ -781,6 +784,7 @@ SeedResult RunRecoverySeed(uint64_t seed, const std::string& engine_filter,
     if (!prefix_err.empty()) return Failed(result, prefix_err);
     result.recovered_prefix = *matched_prefix;
   } else {
+    result.salvaged = true;
     const DbState salvage = SalvageModelState(ckpt, recovered);
     if (recovered_state != salvage) {
       return Failed(result, "holed recovery diverges from the salvage model (" +
@@ -1427,7 +1431,7 @@ int main(int argc, char** argv) {
   if (start_seed + seeds < start_seed) return tdp::Usage();  // wraps
 
   uint64_t failures = 0, crashes = 0, committed = 0, acked = 0;
-  uint64_t undecided = 0, dropped = 0;
+  uint64_t undecided = 0, dropped = 0, salvaged = 0;
   for (uint64_t seed = start_seed; seed < start_seed + seeds; ++seed) {
     const tdp::SeedResult r = mode->run(seed, engine, verbose);
     crashes += r.crashed ? 1 : 0;
@@ -1435,6 +1439,7 @@ int main(int argc, char** argv) {
     acked += r.acked;
     undecided += r.undecided;
     dropped += r.dropped;
+    salvaged += r.salvaged ? 1 : 0;
     if (!r.ok) {
       ++failures;
       std::fprintf(stderr, "FAIL seed %llu: %s\n",
@@ -1444,13 +1449,15 @@ int main(int argc, char** argv) {
   tdp::CrashPoints::Global().Reset();
   std::printf(
       "tdp_crashtest: %llu seeds, %llu crashed, %llu txns committed "
-      "(%llu acked), %llu undecided, %llu dropped, %llu failures\n",
+      "(%llu acked), %llu undecided, %llu dropped, %llu salvaged, "
+      "%llu failures\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(crashes),
       static_cast<unsigned long long>(committed),
       static_cast<unsigned long long>(acked),
       static_cast<unsigned long long>(undecided),
       static_cast<unsigned long long>(dropped),
+      static_cast<unsigned long long>(salvaged),
       static_cast<unsigned long long>(failures));
   return failures == 0 ? 0 : 1;
 }
